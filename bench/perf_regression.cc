@@ -20,13 +20,14 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/env.hh"
+#include "common/faultio.hh"
 #include "common/logging.hh"
 #include "sim/experiment.hh"
 #include "sim/runner.hh"
@@ -74,36 +75,57 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-/**
- * Minimal value extractor for the JSON this bench itself emits: finds
- * "key":<number> after position pos. Good enough for the regression gate
- * without a JSON dependency.
- */
-bool
-extractNumber(const std::string& json, const std::string& key, size_t pos,
-              double& out)
-{
-    std::string needle = "\"" + key + "\":";
-    size_t at = json.find(needle, pos);
-    if (at == std::string::npos)
-        return false;
-    out = std::strtod(json.c_str() + at + needle.size(), nullptr);
-    return true;
-}
+using PresetList = std::vector<std::pair<std::string, MechanismConfig>>;
 
-bool
-readWholeFile(const std::string& path, std::string& out)
+/** One timed leg: every preset swept alone over the suite, and their
+ *  sum (the presets' best times and instructions added up). */
+struct LegTiming
 {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    std::fseek(f, 0, SEEK_END);
-    long sz = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    out.resize(sz > 0 ? static_cast<size_t>(sz) : 0);
-    size_t got = std::fread(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    return got == out.size();
+    std::vector<PresetTiming> presets;
+    PresetTiming total;
+};
+
+/**
+ * Time each preset as its own single-config Experiment, keeping the best
+ * of `repeats` wall-clock runs and that run's instruction/cycle sums, and
+ * print one line per preset as it finishes. `unit` labels the throughput
+ * ("eff-Mops/s" for sampled legs, whose instructions are extrapolated).
+ */
+LegTiming
+timeLeg(const std::string& label, const Suite& suite,
+        const ExperimentOptions& opts, const PresetList& presets,
+        unsigned repeats, const char* unit)
+{
+    LegTiming leg;
+    for (const auto& [name, mech] : presets) {
+        Experiment exp(label + name, suite, opts);
+        exp.add(name, mech);
+        PresetTiming t;
+        t.name = name;
+        t.cells = suite.size();
+        t.wallSeconds = -1.0;
+        for (unsigned rep = 0; rep < repeats; ++rep) {
+            auto t0 = std::chrono::steady_clock::now();
+            ExperimentResult res = exp.run();
+            double secs = secondsSince(t0);
+            if (t.wallSeconds >= 0.0 && secs >= t.wallSeconds)
+                continue;
+            t.wallSeconds = secs;
+            t.instructions = 0;
+            t.cycles = 0;
+            for (size_t row = 0; row < res.numRows(); ++row) {
+                t.instructions += res.at(row, 0).instructions;
+                t.cycles += res.at(row, 0).cycles;
+            }
+        }
+        std::printf("%-18s %6.3fs  %8.2f %s  (%zu cells, %llu insts)\n",
+                    name.c_str(), t.wallSeconds, t.mopsPerSec(), unit,
+                    t.cells, static_cast<unsigned long long>(t.instructions));
+        leg.total.wallSeconds += t.wallSeconds;
+        leg.total.instructions += t.instructions;
+        leg.presets.push_back(t);
+    }
+    return leg;
 }
 
 } // namespace
@@ -130,8 +152,11 @@ perfMain(int argc, char** argv)
         } else if (flag == "--check-against") {
             flags.checkAgainst = valueOf(arg, i);
         } else if (flag == "--max-regression") {
-            flags.maxRegression = std::strtod(valueOf(arg, i).c_str(),
-                                              nullptr);
+            // A fraction: a percentage typed here (25) must die, not
+            // push the floor below zero and pass every run.
+            flags.maxRegression = parseDoubleInRange(
+                "--max-regression", valueOf(arg, i),
+                { .lo = 0.0, .hi = 1.0, .hiOpen = true });
         } else if (flag == "--repeats") {
             flags.repeats = static_cast<unsigned>(
                 parseU64InRange("--repeats", valueOf(arg, i), 1, 1000));
@@ -174,7 +199,7 @@ perfMain(int argc, char** argv)
     std::printf("preparing suite (workloads x %zu ops)...\n", opts.traceOps);
     Suite suite = Suite::prepare(opts, /*inspect=*/false);
 
-    const std::vector<std::pair<std::string, MechanismConfig>> presets = {
+    const PresetList presets = {
         { "baseline", mechFor("baseline") },
         { "constable", mechFor("constable") },
         { "eves", mechFor("eves") },
@@ -183,48 +208,16 @@ perfMain(int argc, char** argv)
         { "rfp+constable", mechFor("rfp+constable") },
     };
 
-    std::vector<PresetTiming> timings;
+    LegTiming full = timeLeg("perf_", suite, opts, presets, flags.repeats,
+                             "Mops/s");
+    const std::vector<PresetTiming>& timings = full.presets;
+    const double totalSecs = full.total.wallSeconds;
+    const double totalMops = full.total.mopsPerSec();
+    // Repeats are bit-identical, so each preset's best-run cycle sum is
+    // its cycle total.
     uint64_t determinism = 0;
-    for (const auto& [name, mech] : presets) {
-        Experiment exp("perf_" + name, suite, opts);
-        exp.add(name, mech);
-
-        PresetTiming t;
-        t.name = name;
-        t.cells = suite.size();
-        double best = -1.0;
-        for (unsigned rep = 0; rep < flags.repeats; ++rep) {
-            auto t0 = std::chrono::steady_clock::now();
-            ExperimentResult res = exp.run();
-            double secs = secondsSince(t0);
-            if (best < 0.0 || secs < best) {
-                best = secs;
-                t.instructions = 0;
-                t.cycles = 0;
-                for (size_t row = 0; row < res.numRows(); ++row) {
-                    t.instructions += res.at(row, 0).instructions;
-                    t.cycles += res.at(row, 0).cycles;
-                }
-            }
-            if (rep == 0) // repeats are identical; fold each preset once
-                determinism ^= res.totalCycles();
-        }
-        t.wallSeconds = best;
-        timings.push_back(t);
-        std::printf("%-18s %6.3fs  %8.2f Mops/s  (%zu cells, %llu insts)\n",
-                    name.c_str(), t.wallSeconds, t.mopsPerSec(), t.cells,
-                    static_cast<unsigned long long>(t.instructions));
-    }
-
-    double totalSecs = 0.0;
-    uint64_t totalInsts = 0;
-    for (const PresetTiming& t : timings) {
-        totalSecs += t.wallSeconds;
-        totalInsts += t.instructions;
-    }
-    double totalMops =
-        totalSecs <= 0.0 ? 0.0
-                         : static_cast<double>(totalInsts) / totalSecs / 1e6;
+    for (const PresetTiming& t : timings)
+        determinism ^= t.cycles;
     std::printf("total              %6.3fs  %8.2f Mops/s  (determinism "
                 "%016llx)\n",
                 totalSecs, totalMops,
@@ -232,61 +225,27 @@ perfMain(int argc, char** argv)
 
     // --------------------------------------------------------- sampled leg
     // Same presets in phase-sampled mode. A sampled RunResult reports
-    // extrapolated whole-trace instructions, so mopsPerSec() here is
-    // *effective* throughput — directly comparable to the full series
-    // above, and only meaningfully >1x on long traces (see README
-    // "Sampled simulation").
-    std::vector<PresetTiming> sampledTimings;
+    // extrapolated whole-trace instructions, so the throughput here is
+    // *effective* — directly comparable to the full series above, and
+    // only meaningfully >1x on long traces (see README "Sampled
+    // simulation").
+    LegTiming sampled;
     SampleOptions sampleSpec;
-    double sampledSecs = 0.0, sampledMops = 0.0;
+    double sampledSpeedup = 0.0;
     if (flags.sampledLeg) {
-        sampleSpec = flags.sampledSpec.empty()
-                         ? [] {
-                               SampleOptions s;
-                               s.enabled = true;
-                               return s;
-                           }()
-                         : SampleOptions::parse(flags.sampledSpec);
+        sampleSpec.enabled = true;
+        if (!flags.sampledSpec.empty())
+            sampleSpec = SampleOptions::parse(flags.sampledSpec);
         ExperimentOptions sopts = opts;
         sopts.sample = sampleSpec;
-        uint64_t sampledInsts = 0;
-        for (const auto& [name, mech] : presets) {
-            Experiment exp("perf_sampled_" + name, suite, sopts);
-            exp.add(name, mech);
-            PresetTiming t;
-            t.name = name;
-            t.cells = suite.size();
-            double best = -1.0;
-            for (unsigned rep = 0; rep < flags.repeats; ++rep) {
-                auto t0 = std::chrono::steady_clock::now();
-                ExperimentResult res = exp.run();
-                double secs = secondsSince(t0);
-                if (best < 0.0 || secs < best) {
-                    best = secs;
-                    t.instructions = 0;
-                    t.cycles = 0;
-                    for (size_t row = 0; row < res.numRows(); ++row) {
-                        t.instructions += res.at(row, 0).instructions;
-                        t.cycles += res.at(row, 0).cycles;
-                    }
-                }
-            }
-            t.wallSeconds = best;
-            sampledTimings.push_back(t);
-            sampledSecs += t.wallSeconds;
-            sampledInsts += t.instructions;
-            std::printf("%-18s %6.3fs  %8.2f eff-Mops/s  (sampled)\n",
-                        name.c_str(), t.wallSeconds, t.mopsPerSec());
-        }
-        sampledMops = sampledSecs <= 0.0
-                          ? 0.0
-                          : static_cast<double>(sampledInsts) /
-                                sampledSecs / 1e6;
+        sampled = timeLeg("perf_sampled_", suite, sopts, presets,
+                          flags.repeats, "eff-Mops/s");
+        if (totalMops > 0.0)
+            sampledSpeedup = sampled.total.mopsPerSec() / totalMops;
         std::printf("sampled total      %6.3fs  %8.2f eff-Mops/s  "
                     "(%.2fx vs full, spec %s)\n",
-                    sampledSecs, sampledMops,
-                    totalMops > 0.0 ? sampledMops / totalMops : 0.0,
-                    sampleSpec.spec().c_str());
+                    sampled.total.wallSeconds, sampled.total.mopsPerSec(),
+                    sampledSpeedup, sampleSpec.spec().c_str());
     }
 
     // ------------------------------------------------ multi-process scaling
@@ -375,14 +334,14 @@ perfMain(int argc, char** argv)
                           "  \"sampled\": {\"spec\":\"%s\", \"presets\": [\n",
                           sampleSpec.spec().c_str());
             json += buf;
-            for (size_t i = 0; i < sampledTimings.size(); ++i) {
-                const PresetTiming& t = sampledTimings[i];
+            for (size_t i = 0; i < sampled.presets.size(); ++i) {
+                const PresetTiming& t = sampled.presets[i];
                 std::snprintf(
                     buf, sizeof(buf),
                     "    {\"name\":\"%s\", \"wall_seconds\":%.6f, "
                     "\"effective_mops_per_sec\":%.3f}%s\n",
                     t.name.c_str(), t.wallSeconds, t.mopsPerSec(),
-                    i + 1 < sampledTimings.size() ? "," : "");
+                    i + 1 < sampled.presets.size() ? "," : "");
                 json += buf;
             }
             std::snprintf(
@@ -390,8 +349,8 @@ perfMain(int argc, char** argv)
                 "  ], \"wall_seconds\":%.6f, "
                 "\"effective_mops_per_sec\":%.3f, "
                 "\"speedup_vs_full\":%.3f},\n",
-                sampledSecs, sampledMops,
-                totalMops > 0.0 ? sampledMops / totalMops : 0.0);
+                sampled.total.wallSeconds, sampled.total.mopsPerSec(),
+                sampledSpeedup);
             json += buf;
         }
         std::snprintf(buf, sizeof(buf),
@@ -400,11 +359,8 @@ perfMain(int argc, char** argv)
                       totalSecs, totalMops);
         json += buf;
     }
-    std::FILE* out = std::fopen(flags.jsonOut.c_str(), "wb");
-    if (!out)
+    if (!writeFileAtomic(flags.jsonOut, json))
         fatal("cannot write " + flags.jsonOut);
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
     std::printf("wrote %s\n", flags.jsonOut.c_str());
 
     // ------------------------------------------------------ regression gate
@@ -414,14 +370,17 @@ perfMain(int argc, char** argv)
     // let exactly that class of slowdown through.
     if (!flags.checkAgainst.empty()) {
         std::string baseline;
-        if (!readWholeFile(flags.checkAgainst, baseline))
+        if (!readFileText(flags.checkAgainst, baseline))
             fatal("cannot read baseline " + flags.checkAgainst);
         size_t totalAt = baseline.find("\"total\"");
-        double baseMops = 0.0;
-        if (totalAt == std::string::npos ||
-            !extractNumber(baseline, "mops_per_sec", totalAt, baseMops))
+        std::optional<double> totalBase =
+            totalAt == std::string::npos
+                ? std::nullopt
+                : flatJsonNumber(baseline, "mops_per_sec", totalAt);
+        if (!totalBase)
             fatal("baseline " + flags.checkAgainst +
                   " has no total mops_per_sec");
+        double baseMops = *totalBase;
         int regressions = 0;
         // Full-fidelity presets only: scope the per-preset lookup to the
         // first "presets" array so the sampled section's entries (which
@@ -433,13 +392,16 @@ perfMain(int argc, char** argv)
         for (const PresetTiming& t : timings) {
             size_t at = baseline.find("\"name\":\"" + t.name + "\"",
                                       presetsAt);
-            double base = 0.0;
-            if (at == std::string::npos || at > presetsEnd ||
-                !extractNumber(baseline, "mops_per_sec", at, base)) {
+            std::optional<double> presetBase =
+                at == std::string::npos || at > presetsEnd
+                    ? std::nullopt
+                    : flatJsonNumber(baseline, "mops_per_sec", at);
+            if (!presetBase) {
                 std::printf("  %-18s no baseline entry; skipped\n",
                             t.name.c_str());
                 continue;
             }
+            double base = *presetBase;
             double presetFloor = base * (1.0 - flags.maxRegression);
             std::printf("  %-18s current %8.2f vs baseline %8.2f Mops/s "
                         "(floor %8.2f)%s\n",

@@ -1,9 +1,10 @@
 /**
  * @file
- * Strict parsing for CONSTABLE_* environment variables. Every knob goes
- * through these helpers so a typo (CONSTABLE_THREADS=abc, a stray trailing
- * character, an out-of-range value) terminates with a clear message instead
- * of silently becoming 0 and running the sweep with the wrong setting.
+ * Strict parsing for CONSTABLE_* environment variables and numeric CLI
+ * flags. Every knob goes through these helpers so a typo
+ * (CONSTABLE_THREADS=abc, a stray trailing character, an out-of-range
+ * value) terminates with a clear message instead of silently becoming 0
+ * and running the sweep with the wrong setting.
  */
 
 #ifndef CONSTABLE_COMMON_ENV_HH
@@ -11,6 +12,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -67,6 +71,93 @@ parseU64InRange(const std::string& what, const std::string& value,
               std::to_string(max) + "], got '" + value + "'");
     }
     return v;
+}
+
+/**
+ * Non-fatal strict decimal parse, for numbers read back from files (cost
+ * sidecars, perf recordings) where bad input must be skipped, not kill the
+ * process: the whole string, less surrounding whitespace, must be one
+ * finite decimal number (std::from_chars: locale-independent, no '+', no
+ * hex). Empty strings, trailing junk ("3x"), inf/nan and out-of-range
+ * magnitudes yield nullopt, where raw strtod would silently return 0 or
+ * the parsable prefix.
+ */
+inline std::optional<double>
+tryParseDouble(const std::string& value)
+{
+    const char* ws = " \t\n\r\f\v";
+    size_t b = value.find_first_not_of(ws);
+    if (b == std::string::npos)
+        return std::nullopt;
+    const char* last = value.data() + value.find_last_not_of(ws) + 1;
+    double v = 0.0;
+    auto [end, ec] = std::from_chars(value.data() + b, last, v);
+    if (ec != std::errc() || end != last || !std::isfinite(v))
+        return std::nullopt;
+    return v;
+}
+
+/**
+ * The number after `"key":` in flat JSON this program wrote itself
+ * (status.json, perf recordings), searching from @p pos; nullopt when the
+ * key is missing or its value is not one tryParseDouble number. Not a
+ * JSON reader: no nesting, escapes or whitespace before the ':'.
+ */
+inline std::optional<double>
+flatJsonNumber(const std::string& json, const std::string& key,
+               size_t pos = 0)
+{
+    std::string needle = "\"" + key + "\":";
+    size_t at = json.find(needle, pos);
+    if (at == std::string::npos)
+        return std::nullopt;
+    at += needle.size();
+    return tryParseDouble(json.substr(at, json.find_first_of(",}", at) - at));
+}
+
+/** An interval for parseDoubleInRange; an open end excludes its bound. */
+struct DoubleRange
+{
+    double lo = 0.0;
+    double hi = 0.0;
+    bool loOpen = false;
+    bool hiOpen = false;
+
+    bool
+    contains(double v) const
+    {
+        return (loOpen ? v > lo : v >= lo) && (hiOpen ? v < hi : v <= hi);
+    }
+
+    /** Interval notation, e.g. "[0, 1)". */
+    std::string
+    str() const
+    {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%c%g, %g%c", loOpen ? '(' : '[',
+                      lo, hi, hiOpen ? ')' : ']');
+        return buf;
+    }
+};
+
+/**
+ * tryParseDouble for operator-supplied values, plus a range check:
+ * fatal()s on malformed input or a value outside @p range, so a
+ * percentage typed where a fraction belongs (--max-regression=25) dies
+ * instead of quietly disabling a gate.
+ */
+inline double
+parseDoubleInRange(const std::string& what, const std::string& value,
+                   const DoubleRange& range)
+{
+    std::optional<double> v = tryParseDouble(value);
+    if (!v)
+        fatal(what + " must be a decimal number, got '" + value + "'");
+    if (!range.contains(*v)) {
+        fatal(what + " must be in " + range.str() + ", got '" + value +
+              "'");
+    }
+    return *v;
 }
 
 /** Read an integer env var. Unset -> nullopt; malformed -> fatal(). */

@@ -1,10 +1,16 @@
 #include "common/faultio.hh"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <mutex>
+#include <random>
+#include <system_error>
 #include <thread>
 
 #include "common/env.hh"
@@ -78,6 +84,7 @@ struct FaultClause
      *  param-th hit; skew: seconds of injected skew. */
     uint64_t param = 1;
     uint64_t hits = 0;
+    bool announced = false; ///< first injection already reported
 };
 
 struct FaultState
@@ -88,14 +95,33 @@ struct FaultState
     uint64_t seed = 0x5eedfa17ull;
 };
 
+/** Never destroyed: the obs atexit writers commit through writeFileAtomic
+ *  and may run after the static destructors of anything constructed
+ *  later than their registration, which a CLI --fault-plan can be. */
 FaultState&
 state()
 {
-    static FaultState s;
-    return s;
+    static FaultState* s = new FaultState;
+    return *s;
 }
 
 thread_local bool tl_tornPending = false;
+
+/** The file writeAtomic() is committing on this thread (null outside it),
+ *  so an injection notice can name the write a fault hit. */
+thread_local const std::string* tl_writing = nullptr;
+
+/** One stderr line per injection that matters to a reader of the log: a
+ *  crash, and the first eio/enospc/torn of each clause. constable-
+ *  faultsweep reads it back to check which file a fault landed on. */
+void
+announceInjection(const char* action, const char* point)
+{
+    std::fprintf(stderr, "faultio: injected %s at fault point '%s'%s%s%s\n",
+                 action, point, tl_writing ? " while writing '" : "",
+                 tl_writing ? tl_writing->c_str() : "",
+                 tl_writing ? "'" : "");
+}
 
 /** Marker-file-safe spelling of a point name. */
 std::string
@@ -269,6 +295,7 @@ faultFailedSlow(const char* point)
     FaultState& s = state();
     std::string marker;
     FaultAction act = FaultAction::None;
+    bool first = false;
     {
         std::lock_guard<std::mutex> lk(s.mu);
         for (FaultClause& c : s.clauses) {
@@ -292,21 +319,26 @@ faultFailedSlow(const char* point)
               case FaultAction::None:
                 break; // polled via faultSkewSeconds(), not here
             }
+            first = act != FaultAction::None && !c.announced;
+            c.announced = c.announced || first;
             break;
         }
     }
     switch (act) {
       case FaultAction::Eio:
       case FaultAction::Enospc:
+        if (first)
+            announceInjection(act == FaultAction::Eio ? "eio" : "enospc",
+                              point);
         return true;
       case FaultAction::Torn:
+        if (first)
+            announceInjection("torn", point);
         tl_tornPending = true;
         return false;
       case FaultAction::Crash:
         if (claimCrashMarker(marker, point)) {
-            std::fprintf(stderr,
-                         "faultio: injected crash at fault point '%s'\n",
-                         point);
+            announceInjection("crash", point);
             std::fflush(nullptr);
             std::_Exit(kFaultCrashExitCode);
         }
@@ -453,6 +485,148 @@ faultSleepMs(unsigned ms)
         fn(ms);
     else
         std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+// ------------------------------------------------------ whole-file I/O
+
+namespace {
+
+/** Per-write unique tmp suffix: pid + process-random nonce + counter.
+ *  Sharded sweeps have many processes (and threads) writing into one
+ *  directory, possibly targeting the same entry after a lease reclaim; a
+ *  pid-only suffix would let two threads of one process collide. */
+std::string
+tmpSuffix()
+{
+    static const uint64_t nonce = [] {
+        std::random_device rd;
+        return (static_cast<uint64_t>(rd()) << 32) ^ rd();
+    }();
+    static std::atomic<uint64_t> counter { 0 };
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), ".tmp.%llu.%08llx.%llu",
+                  static_cast<unsigned long long>(::getpid()),
+                  static_cast<unsigned long long>(nonce & 0xffffffffull),
+                  static_cast<unsigned long long>(
+                      counter.fetch_add(1, std::memory_order_relaxed)));
+    return buf;
+}
+
+/** Flush a directory's metadata so a just-renamed entry survives a crash
+ *  (best-effort: not every filesystem needs or supports it). */
+void
+fsyncDirOf(const std::string& path)
+{
+    std::filesystem::path dir = std::filesystem::path(path).parent_path();
+    int fd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
+    if (fd >= 0) {
+        ::fsync(fd);
+        ::close(fd);
+    }
+}
+
+bool
+writeAtomic(const std::string& path, const uint8_t* data, size_t size,
+            bool durable)
+{
+    struct Writing
+    {
+        explicit Writing(const std::string& p) { tl_writing = &p; }
+        ~Writing() { tl_writing = nullptr; }
+    } writing(path);
+    if (faultFailed("atomic.tmp.open"))
+        return false;
+    std::string tmp = path + tmpSuffix();
+    std::FILE* f = std::fopen(tmp.c_str(), "wb");
+    if (!f)
+        return false;
+    if (faultFailed("atomic.tmp.write")) {
+        std::fclose(f);
+        std::remove(tmp.c_str());
+        return false;
+    }
+    // A pending torn write (armed here or at a higher-level point like
+    // ckpt.cell.commit:torn) silently commits half the payload: the write
+    // and rename both "succeed", and only the trailing checksum can tell.
+    size_t n = size;
+    if (faultConsumeTorn())
+        n /= 2;
+    size_t wrote = n == 0 ? 0 : std::fwrite(data, 1, n, f);
+    bool ok = wrote == n;
+    if (ok && durable) {
+        ok = std::fflush(f) == 0 && !faultFailed("atomic.tmp.fsync") &&
+             ::fsync(::fileno(f)) == 0;
+    }
+    ok = (std::fclose(f) == 0) && ok;
+    if (!ok) {
+        std::remove(tmp.c_str());
+        return false;
+    }
+    // Crash at atomic.commit.rename models death just before the commit
+    // (an orphaned tmp file); crash at atomic.dir.fsync models death just
+    // after it (the file is committed but its dir entry not yet synced).
+    if (faultFailed("atomic.commit.rename")) {
+        std::remove(tmp.c_str());
+        return false;
+    }
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) {
+        std::remove(tmp.c_str());
+        return false;
+    }
+    if (durable && !faultFailed("atomic.dir.fsync"))
+        fsyncDirOf(path);
+    return true;
+}
+
+} // namespace
+
+bool
+writeFileAtomic(const std::string& path, const std::vector<uint8_t>& bytes,
+                bool durable)
+{
+    return writeAtomic(path, bytes.data(), bytes.size(), durable);
+}
+
+bool
+writeFileAtomic(const std::string& path, const std::string& text,
+                bool durable)
+{
+    return writeAtomic(path, reinterpret_cast<const uint8_t*>(text.data()),
+                       text.size(), durable);
+}
+
+bool
+readFileBytes(const std::string& path, std::vector<uint8_t>& bytes)
+{
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return false;
+    std::fseek(f, 0, SEEK_END);
+    long sz = std::ftell(f);
+    if (sz < 0) {
+        std::fclose(f);
+        return false;
+    }
+    std::fseek(f, 0, SEEK_SET);
+    bytes.resize(static_cast<size_t>(sz));
+    // A 0-byte file (a touched-but-never-written cell) must read as an
+    // empty buffer, not fread into a null data() pointer.
+    size_t got =
+        bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+    return got == bytes.size();
+}
+
+bool
+readFileText(const std::string& path, std::string& out)
+{
+    std::vector<uint8_t> bytes;
+    if (!readFileBytes(path, bytes))
+        return false;
+    out.assign(bytes.begin(), bytes.end());
+    return true;
 }
 
 } // namespace constable

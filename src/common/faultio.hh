@@ -1,7 +1,9 @@
 /**
  * @file
  * Deterministic fault injection for every filesystem touchpoint: the
- * robustness proof-layer behind `tools/constable-faultsweep`.
+ * robustness proof-layer behind `tools/constable-faultsweep`, and the home
+ * of the whole-file primitives (writeFileAtomic, readFileBytes,
+ * readFileText) through which the program commits and reads every file.
  *
  * Each I/O call site (atomic writes, lease create/heartbeat/release,
  * checkpoint and trace-cache reads/writes, fleet calibration persistence)
@@ -31,9 +33,18 @@
  *  - skew reports N seconds of clock skew (file mtimes ahead of the
  *    reader's clock) via faultSkewSeconds(); N defaults to 300.
  *
- * Unknown point or action names fatal() at parse time. All injection
- * decisions are counted deterministically per process — no wall clock, no
- * ambient randomness — so an armed run is exactly reproducible.
+ * Each crash, and the first eio/enospc/torn of each clause, prints one
+ * "faultio: injected ..." line on stderr naming the point and, inside
+ * writeFileAtomic, the file being written.
+ *
+ * Unknown point or action names fatal() at parse time. Injection
+ * decisions use no wall clock and no ambient randomness: a clause fires
+ * on the N-th evaluation of its point in this process. One input is
+ * timed, though: a checkpointed sweep rewrites status.json about once a
+ * second, and those writes pass the atomic.* points too, so which file
+ * an atomic.* clause with N > 1 hits can vary from run to run (a sweep
+ * commits its manifest before any status.json; see README, "Fault
+ * injection & recovery").
  */
 
 #ifndef CONSTABLE_COMMON_FAULTIO_HH
@@ -107,6 +118,36 @@ bool faultConsumeTorn();
 /** Seconds of injected clock skew at a "clock"-kind point (mtimes appear
  *  this far in the future); 0.0 when no skew clause is armed. */
 double faultSkewSeconds(const char* point);
+
+// ------------------------------------------------------ whole-file I/O
+
+/**
+ * The atomic-write primitive behind every file this program commits
+ * (trace cache, checkpoint cells, manifests, calibration caches, obs
+ * outputs, perf recordings): bytes go to a tmp file named with a PID +
+ * per-process-random suffix (safe when many processes write the same
+ * entry concurrently), and the rename is the commit point. With
+ * durable=true the tmp file is fsync'd before the rename (and the
+ * directory after it), so a renamed file survives a crash with its full
+ * contents — the invariant the sharded-sweep merge relies on: a visible
+ * cell file is either complete or fails its checksum. The atomic.* fault
+ * points fire here, for every caller. Returns false on I/O failure.
+ */
+bool writeFileAtomic(const std::string& path,
+                     const std::vector<uint8_t>& bytes,
+                     bool durable = false);
+
+/** writeFileAtomic for text payloads (same contract). */
+bool writeFileAtomic(const std::string& path, const std::string& text,
+                     bool durable = false);
+
+/** Read a whole file into @p bytes; false on missing/unreadable files.
+ *  The only sanctioned way to slurp a file (see the lint raw-io rule);
+ *  an empty file reads as an empty buffer, not an error. */
+bool readFileBytes(const std::string& path, std::vector<uint8_t>& bytes);
+
+/** Read a whole file as text (same contract as readFileBytes). */
+bool readFileText(const std::string& path, std::string& out);
 
 /** True when any fault plan is currently armed. */
 bool faultPlanArmed();

@@ -1,21 +1,24 @@
 #include "common/obs.hh"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <string_view>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/faultio.hh"
 #include "common/logging.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 namespace constable {
 
@@ -23,6 +26,9 @@ namespace {
 
 /** Spans per thread lane before overflow starts dropping (and counting). */
 constexpr size_t kRingCap = 4096;
+
+/** First line of a shard partial; v2 ends with an "E <records>" seal. */
+constexpr std::string_view kPartialHeader = "obs-partial v2\n";
 
 /** One recorded slice. Names/cats point at string literals or interned
  *  strings (stable for the process lifetime). */
@@ -61,21 +67,14 @@ struct Registry
     uint64_t threadLaneCount = 0;
 };
 
+/** Never destroyed: a pool worker can still be registering its lane, and
+ *  the atexit writers still read the registry, after static destructors
+ *  run at exit. */
 Registry&
 reg()
 {
-    static Registry r;
-    return r;
-}
-
-uint64_t
-processId()
-{
-#if defined(__unix__) || defined(__APPLE__)
-    return static_cast<uint64_t>(::getpid());
-#else
-    return 1;
-#endif
+    static Registry* r = new Registry;
+    return *r;
 }
 
 const char*
@@ -154,46 +153,6 @@ jsonEscape(const std::string& s)
         }
     }
     return out;
-}
-
-/** Atomic whole-file write: tmp + rename. This is src/common, below the
- *  faultio shim's clients — obs output is diagnostics, not simulated
- *  state, so it deliberately does not route through fault injection. */
-bool
-writeAtomic(const std::string& path, const std::string& content)
-{
-    std::string tmp =
-        path + ".tmp." + std::to_string(processId());
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        return false;
-    size_t put = std::fwrite(content.data(), 1, content.size(), f);
-    bool ok = put == content.size() && std::fclose(f) == 0;
-    if (!ok) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
-}
-
-bool
-readAll(const std::string& path, std::string& out)
-{
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    out.clear();
-    char buf[4096];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, got);
-    bool ok = !std::ferror(f);
-    std::fclose(f);
-    return ok;
 }
 
 /** Lenient digit-run parser for partial/status payloads: corrupt input
@@ -348,49 +307,15 @@ progressEmitLocked(ProgressState& p, bool final)
             "\"owner\":\"pid-%llu\",\"updated_unix_sec\":%llu}\n",
             jsonEscape(p.label).c_str(), final ? "done" : "running", done,
             p.total, rollingMops, static_cast<unsigned long long>(etaSec),
-            elapsedSec, static_cast<unsigned long long>(processId()),
+            elapsedSec, static_cast<unsigned long long>(::getpid()),
             static_cast<unsigned long long>(unixNowSec()));
-        writeAtomic(p.statusPath, buf);
+        writeFileAtomic(p.statusPath, std::string(buf));
         p.lastStatusUs = nowUs;
     }
 }
 
-/** Minimal flat-JSON field readers for obsFormatStatus (the schema is
- *  ours and flat; a full parser would be overkill). */
-bool
-jsonNumField(const std::string& json, const std::string& key, double& out)
-{
-    size_t at = json.find("\"" + key + "\":");
-    if (at == std::string::npos)
-        return false;
-    at += key.size() + 3;
-    // Parse manually: digits, optional '.', digits (no strtod — keep the
-    // dependency surface tiny and locale-proof).
-    uint64_t ip = 0;
-    size_t i = at;
-    bool any = false;
-    while (i < json.size() && json[i] >= '0' && json[i] <= '9') {
-        ip = ip * 10 + static_cast<uint64_t>(json[i] - '0');
-        ++i;
-        any = true;
-    }
-    double v = static_cast<double>(ip);
-    if (i < json.size() && json[i] == '.') {
-        ++i;
-        double scale = 0.1;
-        while (i < json.size() && json[i] >= '0' && json[i] <= '9') {
-            v += scale * (json[i] - '0');
-            scale *= 0.1;
-            ++i;
-            any = true;
-        }
-    }
-    if (!any)
-        return false;
-    out = v;
-    return true;
-}
-
+/** Minimal flat-JSON string reader for obsFormatStatus (the schema is
+ *  ours and flat; numbers go through flatJsonNumber). */
 bool
 jsonStrField(const std::string& json, const std::string& key,
              std::string& out)
@@ -653,7 +578,7 @@ obsWriteMetrics(const std::string& path)
                std::to_string(buffered) +
                ", \"dropped\": " + std::to_string(dropped) + "}\n}\n";
     }
-    return writeAtomic(path, out);
+    return writeFileAtomic(path, out);
 }
 
 bool
@@ -663,7 +588,7 @@ obsWriteTrace(const std::string& path)
     std::string out;
     {
         std::lock_guard<std::mutex> lk(r.mu);
-        uint64_t pid = processId();
+        uint64_t pid = static_cast<uint64_t>(::getpid());
         out += "{\"traceEvents\":[\n";
         bool first = true;
         uint64_t tid = 1;
@@ -685,72 +610,83 @@ obsWriteTrace(const std::string& path)
         }
         out += "\n]}\n";
     }
-    return writeAtomic(path, out);
+    return writeFileAtomic(path, out);
 }
 
 bool
 obsSavePartial(const std::string& path, const std::string& lane_override)
 {
     Registry& r = reg();
-    std::string out = "obs-partial v1\n";
+    std::string out(kPartialHeader);
+    size_t records = 0;
+    auto record = [&](const std::string& line) {
+        out += line;
+        out += '\n';
+        ++records;
+    };
     {
         std::lock_guard<std::mutex> lk(r.mu);
         for (const auto& [name, c] : r.counters) {
             if (c->value() != 0)
-                out += "C " + name + " " + std::to_string(c->value()) + "\n";
+                record("C " + name + " " + std::to_string(c->value()));
         }
         for (const auto& [name, g] : r.gauges) {
             if (g->value() != 0)
-                out += "G " + name + " " + std::to_string(g->value()) + "\n";
+                record("G " + name + " " + std::to_string(g->value()));
         }
         for (const auto& [name, h] : r.histograms) {
             if (h->count() == 0)
                 continue;
-            out += "H " + name + " " + std::to_string(h->count()) + " " +
-                   std::to_string(h->sum());
+            std::string line = "H " + name + " " +
+                               std::to_string(h->count()) + " " +
+                               std::to_string(h->sum());
             for (size_t b = 0; b < ObsHistogram::kBuckets; ++b) {
-                out += ' ';
-                out += std::to_string(h->bucket(b));
+                line += ' ';
+                line += std::to_string(h->bucket(b));
             }
-            out += "\n";
+            record(line);
         }
         uint64_t dropped = 0;
         for (const auto& l : r.lanes) {
             dropped += l->dropped;
             for (const SpanRec& s : l->spans) {
-                out += "S " +
+                record("S " +
                        (lane_override.empty() ? l->name : lane_override) +
                        " " + std::to_string(s.startUs) + " " +
                        std::to_string(s.durUs) + " " + std::string(s.cat) +
-                       " " + std::string(s.name) + "\n";
+                       " " + std::string(s.name));
             }
         }
         if (dropped != 0)
-            out += "D " + std::to_string(dropped) + "\n";
+            record("D " + std::to_string(dropped));
     }
-    return writeAtomic(path, out);
+    // The trailing count seals the file: a partial cut at any byte (a
+    // torn write) lacks it or mismatches it, and the merge rejects it.
+    out += "E " + std::to_string(records) + "\n";
+    return writeFileAtomic(path, out);
 }
 
 bool
 obsMergePartial(const std::string& path)
 {
     std::string text;
-    if (!readAll(path, text))
-        return false;
-    if (text.rfind("obs-partial v1\n", 0) != 0)
+    if (!readFileText(path, text) || text.rfind(kPartialHeader, 0) != 0)
         return false;
 
-    // Tokenize each line; malformed lines fail the whole merge (a torn
-    // partial should be noticed, not half-applied).
-    size_t pos = text.find('\n') + 1;
+    // Parse every line into a staged update and apply them only once the
+    // whole file has parsed and its trailing record count matches: a torn
+    // or mangled partial is rejected whole, never half-applied.
+    std::vector<std::function<void()>> staged;
+    bool sealed = false;
+    size_t pos = kPartialHeader.size();
     while (pos < text.size()) {
         size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = text.size();
+        if (eol == std::string::npos || sealed)
+            return false; // cut mid-line, or bytes after the seal
         std::string line = text.substr(pos, eol - pos);
         pos = eol + 1;
         if (line.empty())
-            continue;
+            return false;
         std::vector<std::string> f;
         size_t start = 0;
         // Spans carry the free-text name last; split only the leading
@@ -769,58 +705,61 @@ obsMergePartial(const std::string& path)
             uint64_t v;
             if (!parseU64Field(f[2], v))
                 return false;
-            obsCounter(f[1]).merge(v);
+            staged.push_back([name = f[1], v] { obsCounter(name).merge(v); });
         } else if (f[0] == "G" && f.size() == 3) {
             uint64_t v;
             if (!parseU64Field(f[2], v))
                 return false;
-            obsGauge(f[1]).merge(v);
-        } else if (f[0] == "H") {
-            // H name count sum b0..b31 — resplit fully.
-            std::vector<std::string> hf;
-            size_t hs = 0;
-            for (;;) {
-                size_t sp = line.find(' ', hs);
-                if (sp == std::string::npos) {
-                    hf.push_back(line.substr(hs));
-                    break;
-                }
-                hf.push_back(line.substr(hs, sp - hs));
-                hs = sp + 1;
-            }
-            if (hf.size() != 4 + ObsHistogram::kBuckets)
-                return false;
-            uint64_t count, sum, buckets[ObsHistogram::kBuckets];
-            if (!parseU64Field(hf[2], count) || !parseU64Field(hf[3], sum))
+            staged.push_back([name = f[1], v] { obsGauge(name).merge(v); });
+        } else if (f[0] == "H" &&
+                   f.size() == 4 + ObsHistogram::kBuckets) {
+            // H name count sum b0..b31
+            uint64_t count, sum;
+            std::array<uint64_t, ObsHistogram::kBuckets> buckets;
+            if (!parseU64Field(f[2], count) || !parseU64Field(f[3], sum))
                 return false;
             for (size_t b = 0; b < ObsHistogram::kBuckets; ++b) {
-                if (!parseU64Field(hf[4 + b], buckets[b]))
+                if (!parseU64Field(f[4 + b], buckets[b]))
                     return false;
             }
-            obsHistogram(hf[1]).merge(count, sum, buckets);
+            staged.push_back([name = f[1], count, sum, buckets] {
+                obsHistogram(name).merge(count, sum, buckets.data());
+            });
         } else if (f[0] == "S" && f.size() == 5) {
             // S lane start dur cat name...
             size_t sp3 = f[4].find(' ');
             if (sp3 == std::string::npos)
                 return false;
-            std::string cat = f[4].substr(0, sp3);
-            std::string name = f[4].substr(sp3 + 1);
             uint64_t startUs, durUs;
             if (!parseU64Field(f[2], startUs) ||
                 !parseU64Field(f[3], durUs))
                 return false;
-            obsEmitSpan(f[1], name, cat, startUs, durUs);
+            staged.push_back([lane = f[1], cat = f[4].substr(0, sp3),
+                              name = f[4].substr(sp3 + 1), startUs, durUs] {
+                obsEmitSpan(lane, name, cat, startUs, durUs);
+            });
         } else if (f[0] == "D" && f.size() == 2) {
             uint64_t dropped;
             if (!parseU64Field(f[1], dropped))
                 return false;
-            Registry& r = reg();
-            std::lock_guard<std::mutex> lk(r.mu);
-            namedLaneLocked(r, "merged").dropped += dropped;
+            staged.push_back([dropped] {
+                Registry& r = reg();
+                std::lock_guard<std::mutex> lk(r.mu);
+                namedLaneLocked(r, "merged").dropped += dropped;
+            });
+        } else if (f[0] == "E" && f.size() == 2) {
+            uint64_t records;
+            if (!parseU64Field(f[1], records) || records != staged.size())
+                return false;
+            sealed = true;
         } else {
             return false;
         }
     }
+    if (!sealed)
+        return false;
+    for (const auto& apply : staged)
+        apply();
     return true;
 }
 
@@ -845,9 +784,10 @@ obsProgressBegin(const ObsProgressConfig& cfg)
     p.reported = false;
     bool active = cfg.total > 0 &&
                   (cfg.intervalSec > 0 || !cfg.statusPath.empty());
+    // No status.json write here: the first waits for the first progress
+    // event, after the sweep's manifest commit, so this best-effort file
+    // never takes an atomic.* fault ahead of the manifest.
     progressActive.store(active, std::memory_order_relaxed);
-    if (active && !p.statusPath.empty())
-        progressEmitLocked(p, /*final=*/false);
 }
 
 void
@@ -900,7 +840,7 @@ std::string
 obsReadStatus(const std::string& path)
 {
     std::string text;
-    if (!readAll(path, text))
+    if (!readFileText(path, text))
         return "";
     return text;
 }
@@ -909,15 +849,15 @@ std::string
 obsFormatStatus(const std::string& json)
 {
     std::string experiment, state;
-    double done = 0, total = 0, mops = 0, eta = 0, elapsed = 0;
+    std::optional<double> doneField = flatJsonNumber(json, "cells_done");
+    std::optional<double> totalField = flatJsonNumber(json, "cells_total");
     if (!jsonStrField(json, "experiment", experiment) ||
-        !jsonStrField(json, "state", state) ||
-        !jsonNumField(json, "cells_done", done) ||
-        !jsonNumField(json, "cells_total", total))
+        !jsonStrField(json, "state", state) || !doneField || !totalField)
         return "";
-    jsonNumField(json, "mops", mops);
-    jsonNumField(json, "eta_sec", eta);
-    jsonNumField(json, "elapsed_sec", elapsed);
+    double done = *doneField, total = *totalField;
+    double mops = flatJsonNumber(json, "mops").value_or(0.0);
+    double eta = flatJsonNumber(json, "eta_sec").value_or(0.0);
+    double elapsed = flatJsonNumber(json, "elapsed_sec").value_or(0.0);
     std::string owner;
     jsonStrField(json, "owner", owner);
 

@@ -3,7 +3,9 @@
  * Observability tier: a typed metrics registry (counters, gauges,
  * histograms, scoped timers), a per-thread ring-buffer span recorder that
  * emits Chrome trace-event / Perfetto JSON, and live sweep progress with
- * an atomically rewritten status.json.
+ * an atomically rewritten status.json. Every file obs writes (status.json,
+ * metrics, traces, shard partials) commits through writeFileAtomic
+ * (common/faultio.hh), so the atomic.* fault points cover it too.
  *
  * Everything here lives strictly *outside* the simulated state: no obs
  * object ever reaches RunResult or a StatSet, so arming observability can
@@ -258,7 +260,8 @@ uint64_t obsSpansDropped();
 uint64_t obsSpanCount();
 
 /** Write a metrics snapshot: sorted-key JSON of every counter, gauge and
- *  histogram. Atomic (tmp + rename). False on I/O failure. */
+ *  histogram, committed through writeFileAtomic (so the atomic.* fault
+ *  points cover it). False on I/O failure. */
 bool obsWriteMetrics(const std::string& path);
 
 /** Write all buffered spans as Chrome trace-event JSON ("traceEvents"
@@ -267,13 +270,16 @@ bool obsWriteMetrics(const std::string& path);
 bool obsWriteTrace(const std::string& path);
 
 /** Serialize this process's spans + counters + histograms to a
- *  line-oriented partial file; every thread-lane span is relabelled to
- *  `lane_override` (fork children: "shard-<k>"). Atomic. */
+ *  line-oriented partial file sealed by a trailing record count; every
+ *  thread-lane span is relabelled to `lane_override` (fork children:
+ *  "shard-<k>"). Committed through writeFileAtomic. */
 bool obsSavePartial(const std::string& path,
                     const std::string& lane_override);
 
 /** Merge a partial written by obsSavePartial into this process: counters
- *  and histograms add, spans append under their recorded lanes. */
+ *  and histograms add, spans append under their recorded lanes. All or
+ *  nothing: false, with nothing applied, unless every line parses and the
+ *  trailing record count matches (a torn partial is rejected whole). */
 bool obsMergePartial(const std::string& path);
 
 // ------------------------------------------------------- live progress

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/obs.hh"
 
@@ -201,19 +200,6 @@ toFactories(const std::vector<SystemConfig>& configs)
 }
 
 } // namespace
-
-BatchOptions
-batchOptionsFromEnv()
-{
-    BatchOptions opts;
-    if (auto v = envU64("CONSTABLE_THREADS")) {
-        opts.threads = static_cast<unsigned>(
-            std::min<uint64_t>(*v, ThreadPool::kMaxConcurrency));
-    }
-    if (auto v = envU64("CONSTABLE_SEED"))
-        opts.seed = *v;
-    return opts;
-}
 
 void
 forEachJob(size_t n, const std::function<void(size_t, Rng&)>& fn,

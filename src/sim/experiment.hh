@@ -71,11 +71,6 @@ struct ExperimentOptions
     unsigned leaseTtlSec = 120;
     /** Poll interval while a shard waits on other workers' cells (ms). */
     unsigned shardPollMs = 100;
-    /** Cell cost model for shard-aware scheduling: path to a prior
-     *  BENCH_perf.json whose per-preset Mops/s rank cell expense; workers
-     *  then claim the most expensive remaining cells first. Empty = claim
-     *  in stride order. */
-    std::string costModelPath;
     /** Registry preset names from --mech / CONSTABLE_MECH: benches run
      *  this sweep instead of their compiled-in figure
      *  (sim/scenario.hh: runNamedSweepIfRequested). */
@@ -100,15 +95,14 @@ struct ExperimentOptions
     SampleOptions sample;
 
     /** All knobs from CONSTABLE_* env vars (strict: malformed -> fatal).
-     *  New: CONSTABLE_MECH, CONSTABLE_SCENARIO, CONSTABLE_COST_MODEL,
-     *  CONSTABLE_SAMPLE. */
+     *  New: CONSTABLE_MECH, CONSTABLE_SCENARIO, CONSTABLE_SAMPLE. */
     static ExperimentOptions fromEnv();
 
     /**
      * Env first, then CLI flags override: --threads=N --seed=N
      * --trace-ops=N --suite-limit=N --trace-dir=PATH --checkpoint-dir=PATH
      * --shards=N --shard-id=K --lease-ttl-sec=N --shard-poll-ms=N
-     * --cost-model=PATH --mech=NAME[,NAME...] --scenario=FILE
+     * --mech=NAME[,NAME...] --scenario=FILE
      * --sample=phases:N,window:K
      * ("--flag value" also accepted). --help prints usage and exits;
      * unknown arguments fatal().

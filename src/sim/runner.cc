@@ -1,7 +1,6 @@
 #include "sim/runner.hh"
 
 #include "common/logging.hh"
-#include "sim/batch.hh"
 
 namespace constable {
 
@@ -57,12 +56,6 @@ speedup(const RunResult& test, const RunResult& base)
         ? 0.0
         : static_cast<double>(base.cycles) /
               static_cast<double>(test.cycles);
-}
-
-void
-parallelFor(size_t n, const std::function<void(size_t)>& fn)
-{
-    ThreadPool::global().run(n, fn);
 }
 
 } // namespace constable

@@ -9,7 +9,6 @@
 #ifndef CONSTABLE_SIM_RUNNER_HH
 #define CONSTABLE_SIM_RUNNER_HH
 
-#include <functional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -41,9 +40,6 @@ Trace relocateTrace(const Trace& t, PC pc_off, Addr addr_off);
 
 /** Performance ratio (same work): base cycles / test cycles. */
 double speedup(const RunResult& test, const RunResult& base);
-
-/** Run fn(i) for i in [0, n) on a small thread pool. */
-void parallelFor(size_t n, const std::function<void(size_t)>& fn);
 
 } // namespace constable
 

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "common/env.hh"
+#include "common/faultio.hh"
 #include "common/logging.hh"
 #include "sim/mechanisms.hh"
 #include "trace/serialize.hh"

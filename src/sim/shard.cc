@@ -1,29 +1,22 @@
 #include "sim/shard.hh"
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <mutex>
 #include <system_error>
 #include <thread>
-#include <unordered_map>
 
 #include "common/check.hh"
+#include "common/env.hh"
 #include "common/faultio.hh"
 #include "common/logging.hh"
 #include "common/obs.hh"
-
-// fork()-based coordinator mode is POSIX-only; other platforms fall back
-// to computing the whole matrix in-process (still through the lease
-// protocol, so on-disk artifacts are identical).
-#if defined(__unix__) || defined(__APPLE__)
-#define CONSTABLE_HAVE_FORK 1
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
 
 namespace constable {
 
@@ -49,9 +42,7 @@ makeLease(int shard_id)
 {
     LeaseRecord r;
     r.owner = processOwnerTag();
-#if defined(__unix__) || defined(__APPLE__)
     r.pid = static_cast<uint64_t>(::getpid());
-#endif
     r.shardId = shard_id;
     r.acquiredUnixSec = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::seconds>(
@@ -155,40 +146,13 @@ guardedLeaseAge(const std::string& path, double ttl, ShardOutcome& outcome)
     return 0.0;
 }
 
-/** Per-preset Mops/s from the "presets" array of a BENCH_perf.json (the
- *  format bench/perf_regression.cc emits); empty map when unparsable. */
-std::unordered_map<std::string, double>
-parsePerfPresets(const std::string& json)
-{
-    std::unordered_map<std::string, double> mops;
-    size_t pos = 0;
-    for (;;) {
-        size_t at = json.find("\"name\":\"", pos);
-        if (at == std::string::npos)
-            break;
-        size_t nameStart = at + 8;
-        size_t nameEnd = json.find('"', nameStart);
-        if (nameEnd == std::string::npos)
-            break;
-        std::string name = json.substr(nameStart, nameEnd - nameStart);
-        size_t next = json.find("\"name\":\"", nameEnd);
-        size_t mopsAt = json.find("\"mops_per_sec\":", nameEnd);
-        if (mopsAt != std::string::npos &&
-            (next == std::string::npos || mopsAt < next)) {
-            mops[name] =
-                std::strtod(json.c_str() + mopsAt + 15, nullptr);
-        }
-        pos = nameEnd;
-    }
-    return mops;
-}
-
 /**
  * Mean observed per-config compute seconds from the `.cost` sidecars
  * committed next to cell checkpoints (workerPass writes one per computed
  * cell). Resumed or partially complete sweeps thus order claims by what
- * cells of THIS sweep actually cost on THIS machine — strictly better
- * information than any static prior. Empty when no sidecar is readable.
+ * cells of THIS sweep actually cost on THIS machine. Sidecars that are
+ * missing, non-numeric or non-positive are skipped; empty when none is
+ * usable.
  */
 std::vector<double>
 observedConfigCosts(const std::string& dir, const SweepManifest& m)
@@ -200,10 +164,12 @@ observedConfigCosts(const std::string& dir, const SweepManifest& m)
         std::string text;
         if (!readFileText(cellFilePath(dir, m, c) + ".cost", text))
             continue;
-        double sec = std::strtod(text.c_str(), nullptr);
-        if (!(sec > 0.0))
+        // Advisory input: a torn or mangled sidecar is skipped, not
+        // fatal and not read as its numeric prefix.
+        std::optional<double> sec = tryParseDouble(text);
+        if (!sec || !(*sec > 0.0))
             continue;
-        sum[c % m.numConfigs] += sec;
+        sum[c % m.numConfigs] += *sec;
         ++cnt[c % m.numConfigs];
         ++seen;
     }
@@ -219,8 +185,8 @@ observedConfigCosts(const std::string& dir, const SweepManifest& m)
             ++known;
         }
     }
-    // Configs with no observation yet get the mean observed cost, same
-    // neutral treatment as unknown presets under the static prior.
+    // Configs with no observation yet get the mean observed cost: neither
+    // hoarded first nor starved to the tail.
     double fallback = total / static_cast<double>(known);
     for (size_t c = 0; c < m.numConfigs; ++c) {
         if (cost[c] == 0.0)
@@ -232,13 +198,12 @@ observedConfigCosts(const std::string& dir, const SweepManifest& m)
 /**
  * The order a worker scans cells for claiming. Default: stride rotation
  * by shard id (freshly launched fleets fan out instead of racing on cell
- * 0). With cost information, the most expensive configs come first --
- * rows ascending within a config -- which shrinks the tail where one
- * worker holds the last big cell while everyone else polls. Observed
- * per-cell wall-clock from this sweep's `.cost` sidecars takes priority;
- * the static `--cost-model` prior (a BENCH_perf.json, cost = 1 / recorded
- * Mops/s) is the fallback for fresh directories. Claim order never
- * affects results (cells are deterministic); only wall-clock.
+ * 0). Once this sweep's `.cost` sidecars hold observed per-cell
+ * wall-clock (a resumed or partially complete directory), the most
+ * expensive configs come first -- rows ascending within a config --
+ * which shrinks the tail where one worker holds the last big cell while
+ * everyone else polls. Claim order never affects results (cells are
+ * deterministic); only wall-clock.
  */
 std::vector<size_t>
 buildClaimOrder(const std::string& dir, const SweepManifest& m,
@@ -257,43 +222,6 @@ buildClaimOrder(const std::string& dir, const SweepManifest& m,
                                     observed[b % m.numConfigs];
                          });
         return order;
-    }
-
-    if (!opts.costModelPath.empty()) {
-        std::string json;
-        if (readFileText(opts.costModelPath, json)) {
-            auto mops = parsePerfPresets(json);
-            std::vector<double> cost(m.numConfigs, 0.0);
-            double sum = 0.0;
-            size_t known = 0;
-            for (size_t c = 0; c < m.numConfigs; ++c) {
-                auto it = mops.find(m.configNames[c]);
-                if (it != mops.end() && it->second > 0.0) {
-                    cost[c] = 1.0 / it->second;
-                    sum += cost[c];
-                    ++known;
-                }
-            }
-            if (known > 0) {
-                // Presets the model has never timed get the mean known
-                // cost: neither hoarded first nor starved to the tail.
-                double fallback = sum / static_cast<double>(known);
-                for (size_t c = 0; c < m.numConfigs; ++c) {
-                    if (cost[c] == 0.0)
-                        cost[c] = fallback;
-                }
-                std::stable_sort(order.begin(), order.end(),
-                                 [&](size_t a, size_t b) {
-                                     return cost[a % m.numConfigs] >
-                                            cost[b % m.numConfigs];
-                                 });
-                return order;
-            }
-        }
-        if (opts.shardId <= 0) {
-            warn("cost model '" + opts.costModelPath +
-                 "' missing or unparsable; claiming cells in stride order");
-        }
     }
 
     if (opts.shardId > 0 && opts.shards > 1) {
@@ -440,16 +368,14 @@ workerPass(WorkerCtx& ctx)
                 fatal("shard worker cannot write cell checkpoint in '" +
                       ctx.dir + "'");
             }
-            // Advisory wall-clock sidecar: later claim passes (and
-            // resumed sweeps) order by observed per-config cost instead
-            // of the static BENCH prior. Best-effort by design — a lost
-            // sidecar only costs scheduling quality, never correctness.
+            // Advisory wall-clock sidecar: resumed sweeps order their
+            // claims by observed per-config cost. Best-effort by design —
+            // a lost sidecar only costs scheduling quality, never
+            // correctness.
             char costBuf[32];
-            int costLen = std::snprintf(costBuf, sizeof(costBuf), "%.6f\n",
-                                        computeSec);
+            std::snprintf(costBuf, sizeof(costBuf), "%.6f\n", computeSec);
             writeFileAtomic(cellFilePath(ctx.dir, ctx.m, c) + ".cost",
-                            std::vector<uint8_t>(costBuf,
-                                                 costBuf + costLen));
+                            std::string(costBuf));
         }
         // Commit precedes release: between saveRunResult's rename and
         // removeLease, observers see both the cell file and the lease,
@@ -493,8 +419,6 @@ workerLoop(WorkerCtx& ctx)
             sleepMs(ctx.opts.pollMs);
     }
 }
-
-#ifdef CONSTABLE_HAVE_FORK
 
 /** Fork `shards` single-threaded workers over the claim loop and reap
  *  them. Child processes _exit() without running static destructors: they
@@ -551,14 +475,18 @@ forkWorkers(const std::string& dir, const SweepManifest& m,
             if (!fileExists(p))
                 continue; // worker died before saving: cells recover, obs
                           // from that shard is simply absent
-            obsMergePartial(p);
+            // All or nothing: a torn or mangled partial (a worker killed
+            // mid-save, an injected torn write) merges none of its records.
+            if (!obsMergePartial(p)) {
+                warn("obs partial '" + p + "' from shard worker " +
+                     std::to_string(k) + " is corrupt; its spans and "
+                     "counters are left out of the merged trace");
+            }
             std::error_code ec;
             fs::remove(p, ec);
         }
     }
 }
-
-#endif // CONSTABLE_HAVE_FORK
 
 } // namespace
 
@@ -716,17 +644,8 @@ runShardedCells(const std::string& dir, const SweepManifest& m,
         return outcome;
     }
 
-#ifdef CONSTABLE_HAVE_FORK
     // Coordinator mode: fork the fleet, reap it, assemble the matrix.
     forkWorkers(dir, m, compute, opts, outcome);
-#else
-    // No fork(): compute everything here, still via the lease protocol.
-    WorkerCtx ctx { dir, m, compute, opts, outcome, {}, {} };
-    ctx.done.assign(m.numCells(), 0);
-    ctx.claimOrder = buildClaimOrder(dir, m, opts);
-    workerLoop(ctx);
-    outcome = ctx.outcome;
-#endif
     mergeShardedCells(dir, m, &compute, out, opts, outcome);
     return outcome;
 }

@@ -64,11 +64,6 @@ struct ShardOptions
      *  this many save/reload attempts is quarantined (moved into
      *  <dir>/quarantine/) instead of being rewritten forever. */
     unsigned quarantineAfter = 3;
-    /** Optional cost model (a prior BENCH_perf.json): cells of presets
-     *  with lower recorded Mops/s are claimed first, shrinking the tail
-     *  where one worker holds the last big cell while the rest poll.
-     *  Empty, missing or unparsable files fall back to stride order. */
-    std::string costModelPath;
     /** Thread/seed knobs for cells this process computes itself. Forked
      *  workers are forced serial (threads = 1): process-level parallelism
      *  replaces the pool, and a fork()ed child must never touch the

@@ -2,27 +2,18 @@
 
 #include "common/faultio.hh"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <random>
 #include <system_error>
-
-// mmap-backed trace loads: map the cache file instead of slurping it into a
-// heap buffer (saves a full copy + allocation per warm-suite trace load).
-// Platforms without POSIX mmap use the plain read path below.
-#if defined(__unix__) || defined(__APPLE__)
-#define CONSTABLE_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#endif
 
 namespace constable {
 
@@ -173,103 +164,6 @@ checkedPayload(const uint8_t* bytes, size_t n, size_t& payload_len)
     return fnv1a(bytes, payload_len) == want;
 }
 
-/** Per-write unique tmp suffix: pid + process-random nonce + counter.
- *  Sharded sweeps have many processes (and threads) writing into one
- *  directory, possibly targeting the same entry after a lease reclaim; a
- *  pid-only suffix would let two threads of one process collide. */
-std::string
-tmpSuffix()
-{
-    static const uint64_t nonce = [] {
-        std::random_device rd;
-        return (static_cast<uint64_t>(rd()) << 32) ^ rd();
-    }();
-    static std::atomic<uint64_t> counter { 0 };
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), ".tmp.%llu.%08llx.%llu",
-                  static_cast<unsigned long long>(::getpid()),
-                  static_cast<unsigned long long>(nonce & 0xffffffffull),
-                  static_cast<unsigned long long>(
-                      counter.fetch_add(1, std::memory_order_relaxed)));
-    return buf;
-}
-
-/** Flush a directory's metadata so a just-renamed entry survives a crash
- *  (best-effort: not every filesystem needs or supports it). */
-void
-fsyncDirOf(const std::string& path)
-{
-#if defined(__unix__) || defined(__APPLE__)
-    std::string dir = std::filesystem::path(path).parent_path().string();
-    if (dir.empty())
-        dir = ".";
-    int fd = ::open(dir.c_str(), O_RDONLY);
-    if (fd >= 0) {
-        ::fsync(fd);
-        ::close(fd);
-    }
-#else
-    (void)path;
-#endif
-}
-
-} // namespace
-
-bool
-writeFileAtomic(const std::string& path, const std::vector<uint8_t>& bytes,
-                bool durable)
-{
-    if (faultFailed("atomic.tmp.open"))
-        return false;
-    std::string tmp = path + tmpSuffix();
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        return false;
-    if (faultFailed("atomic.tmp.write")) {
-        std::fclose(f);
-        std::remove(tmp.c_str());
-        return false;
-    }
-    // A pending torn write (armed here or at a higher-level point like
-    // ckpt.cell.commit:torn) silently commits half the payload: the write
-    // and rename both "succeed", and only the trailing checksum can tell.
-    size_t n = bytes.size();
-    if (faultConsumeTorn())
-        n /= 2;
-    size_t wrote = n == 0 ? 0 : std::fwrite(bytes.data(), 1, n, f);
-    bool ok = wrote == n;
-    if (ok && durable) {
-        ok = std::fflush(f) == 0 && !faultFailed("atomic.tmp.fsync");
-    }
-#if defined(__unix__) || defined(__APPLE__)
-    if (ok && durable)
-        ok = ::fsync(::fileno(f)) == 0;
-#endif
-    ok = (std::fclose(f) == 0) && ok;
-    if (!ok) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    // Crash at atomic.commit.rename models death just before the commit
-    // (an orphaned tmp file); crash at atomic.dir.fsync models death just
-    // after it (the file is committed but its dir entry not yet synced).
-    if (faultFailed("atomic.commit.rename")) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    if (durable && !faultFailed("atomic.dir.fsync"))
-        fsyncDirOf(path);
-    return true;
-}
-
-namespace {
-
 void
 putOp(ByteWriter& w, const MicroOp& op)
 {
@@ -303,38 +197,6 @@ getOp(ByteReader& r, MicroOp& op)
 }
 
 } // namespace
-
-bool
-readFileBytes(const std::string& path, std::vector<uint8_t>& bytes)
-{
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    std::fseek(f, 0, SEEK_END);
-    long sz = std::ftell(f);
-    if (sz < 0) {
-        std::fclose(f);
-        return false;
-    }
-    std::fseek(f, 0, SEEK_SET);
-    bytes.resize(static_cast<size_t>(sz));
-    // A 0-byte file (a touched-but-never-written cell) must read as an
-    // empty buffer, not fread into a null data() pointer.
-    size_t got =
-        bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), f);
-    std::fclose(f);
-    return got == bytes.size();
-}
-
-bool
-readFileText(const std::string& path, std::string& out)
-{
-    std::vector<uint8_t> bytes;
-    if (!readFileBytes(path, bytes))
-        return false;
-    out.assign(bytes.begin(), bytes.end());
-    return true;
-}
 
 uint64_t
 fnv1a(const uint8_t* data, size_t n)
@@ -453,10 +315,11 @@ loadTrace(const std::string& path, Trace& out)
 {
     if (faultFailed("trace.cache.read"))
         return false;
-#ifdef CONSTABLE_HAVE_MMAP
-    // Fast path: decode straight out of a read-only mapping. Any failure
-    // (open, stat, empty file, mmap) falls back to the buffered read below
-    // rather than reporting an error of its own.
+    // Fast path: decode straight out of a read-only mapping (no whole-file
+    // heap copy per warm-suite load). Any failure (open, stat, empty file,
+    // mmap) falls back to the buffered read below rather than reporting an
+    // error of its own.
+    // lint:rawio mmap needs a raw fd; trace.cache.read guards the site
     int fd = ::open(path.c_str(), O_RDONLY);
     if (fd >= 0) {
         struct stat st;
@@ -473,7 +336,6 @@ loadTrace(const std::string& path, Trace& out)
         }
         ::close(fd);
     }
-#endif
     std::vector<uint8_t> bytes;
     return readFileBytes(path, bytes) && deserializeTrace(bytes, out);
 }
@@ -627,11 +489,9 @@ std::string
 processOwnerTag()
 {
     char host[256] = "unknown-host";
-#if defined(__unix__) || defined(__APPLE__)
     if (::gethostname(host, sizeof(host)) != 0)
         std::snprintf(host, sizeof(host), "unknown-host");
     host[sizeof(host) - 1] = '\0';
-#endif
     return std::string(host) + ":" + std::to_string(::getpid());
 }
 
@@ -642,7 +502,9 @@ tryAcquireLease(const std::string& path, const LeaseRecord& r)
     // claim"; the claim loop re-scans every pass, so it self-heals.
     if (faultFailed("lease.acquire"))
         return false;
-    // "x" (C11): O_CREAT|O_EXCL — creation atomically decides the claim.
+    // "x" (C11): O_CREAT|O_EXCL — creation atomically decides the claim,
+    // which a tmp + rename commit cannot express.
+    // lint:rawio exclusive create is the claim; lease.acquire guards it
     std::FILE* f = std::fopen(path.c_str(), "wbx");
     if (!f)
         return false;
@@ -658,10 +520,8 @@ tryAcquireLease(const std::string& path, const LeaseRecord& r)
     bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
     if (ok)
         ok = std::fflush(f) == 0;
-#if defined(__unix__) || defined(__APPLE__)
     if (ok)
         ::fsync(::fileno(f)); // best-effort: the claim itself is the open
-#endif
     ok = (std::fclose(f) == 0) && ok;
     if (!ok)
         std::remove(path.c_str());

@@ -39,36 +39,15 @@ bool deserializeTrace(const std::vector<uint8_t>& bytes, Trace& out);
 /** Decode from raw bytes (e.g. an mmap view) without an owning buffer. */
 bool deserializeTrace(const uint8_t* bytes, size_t n, Trace& out);
 
-/** Write atomically (tmp file + rename), so readers never observe a
- *  half-written cache entry. Returns false on I/O failure. */
+/** Write atomically through writeFileAtomic (common/faultio.hh), so
+ *  readers never observe a half-written cache entry. Returns false on
+ *  I/O failure. */
 bool saveTrace(const std::string& path, const Trace& t);
 
-/**
- * The atomic-write primitive behind every save* helper: bytes go to a tmp
- * file named with a PID + per-process-random suffix (safe when many
- * processes write the same entry concurrently), and the rename is the
- * commit point. With durable=true the tmp file is fsync'd before the
- * rename (and the directory after it), so a renamed file survives a crash
- * with its full contents — the invariant the sharded-sweep merge relies
- * on: a visible cell file is either complete or fails its checksum.
- */
-bool writeFileAtomic(const std::string& path,
-                     const std::vector<uint8_t>& bytes,
-                     bool durable = false);
-
-/** Read a whole file into @p bytes; false on missing/unreadable files.
- *  The read-side primitive behind every load* helper — and the only
- *  sanctioned way for sim/serve code to slurp a file (see the lint
- *  raw-io rule); an empty file reads as an empty buffer, not an error. */
-bool readFileBytes(const std::string& path, std::vector<uint8_t>& bytes);
-
-/** Read a whole file as text (same contract as readFileBytes). */
-bool readFileText(const std::string& path, std::string& out);
-
 /** Load and verify; false on missing/corrupt/truncated/mismatched files.
- *  Decodes from an mmap view of the file where the platform supports it
- *  (no intermediate whole-file heap buffer), falling back to a buffered
- *  read otherwise. */
+ *  Decodes from an mmap view of the file (no intermediate whole-file heap
+ *  buffer), falling back to a buffered read when the file cannot be
+ *  mapped (e.g. it is empty). */
 bool loadTrace(const std::string& path, Trace& out);
 
 // -------------------------------------------------------------- run results
@@ -80,7 +59,7 @@ std::vector<uint8_t> serializeRunResult(const RunResult& r);
 bool deserializeRunResult(const std::vector<uint8_t>& bytes, RunResult& out);
 
 /** @param durable fsync before the rename commit (checkpoint cells written
- *  by sharded workers; see writeFileAtomic). */
+ *  by sharded workers; see writeFileAtomic in common/faultio.hh). */
 bool saveRunResult(const std::string& path, const RunResult& r,
                    bool durable = false);
 

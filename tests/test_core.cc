@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "inspector/load_inspector.hh"
+#include "sim/batch.hh"
 #include "sim/mechanisms.hh"
 #include "sim/runner.hh"
 #include "workloads/suite.hh"
@@ -334,7 +335,7 @@ TEST(Runner, SpeedupMath)
 TEST(Runner, ParallelForCoversAllIndices)
 {
     std::vector<std::atomic<int>> hits(64);
-    parallelFor(64, [&](size_t i) { hits[i]++; });
+    ThreadPool::global().run(64, [&](size_t i) { hits[i]++; });
     for (auto& h : hits)
         EXPECT_EQ(h.load(), 1);
 }

@@ -9,6 +9,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -398,6 +399,46 @@ TEST(OptionsDeathTest, OctalAndHexSurprisesAreFatalNotRebased)
         ::testing::ExitedWithCode(1), "CONSTABLE_SHARDS");
 }
 
+TEST(Options, DoubleParserIsStrictButNonFatal)
+{
+    EXPECT_EQ(tryParseDouble("0.25"), 0.25);
+    EXPECT_EQ(tryParseDouble(" 3 "), 3.0);
+    EXPECT_EQ(tryParseDouble("1.500000\n"), 1.5); // a .cost sidecar
+    EXPECT_EQ(tryParseDouble("-2e3"), -2000.0);
+    EXPECT_EQ(tryParseDouble(".5"), 0.5);
+    // Raw strtod reads each of these as 0 or as its numeric prefix.
+    for (const char* bad : { "", " ", "abc", "3x", "12x4", "1.0.0", "1e",
+                             "0x10", "inf", "nan", "-", ".", "1e999",
+                             "+1" })
+        EXPECT_FALSE(tryParseDouble(bad).has_value()) << "'" << bad << "'";
+}
+
+TEST(OptionsDeathTest, FloatFlagsAreRangeChecked)
+{
+    // --max-regression is a fraction in [0, 1): a percentage typed there
+    // used to push the gate's floor far below zero and pass every run.
+    const DoubleRange fraction { .lo = 0.0, .hi = 1.0, .hiOpen = true };
+    EXPECT_EQ(parseDoubleInRange("--max-regression", "0", fraction), 0.0);
+    EXPECT_EQ(parseDoubleInRange("--max-regression", "0.25", fraction),
+              0.25);
+    EXPECT_EXIT(parseDoubleInRange("--max-regression", "25", fraction),
+                ::testing::ExitedWithCode(1), "must be in \\[0, 1\\)");
+    EXPECT_EXIT(parseDoubleInRange("--max-regression", "1", fraction),
+                ::testing::ExitedWithCode(1), "must be in \\[0, 1\\)");
+    EXPECT_EXIT(parseDoubleInRange("--max-regression", "abc", fraction),
+                ::testing::ExitedWithCode(1), "decimal number");
+
+    // --sample-check is a percentage in (0, 100].
+    const DoubleRange percent { .lo = 0.0, .hi = 100.0, .loOpen = true };
+    EXPECT_EQ(parseDoubleInRange("--sample-check", "100", percent), 100.0);
+    EXPECT_EXIT(parseDoubleInRange("--sample-check", "3x", percent),
+                ::testing::ExitedWithCode(1), "decimal number");
+    EXPECT_EXIT(parseDoubleInRange("--sample-check", "0", percent),
+                ::testing::ExitedWithCode(1), "must be in \\(0, 100\\]");
+    EXPECT_EXIT(parseDoubleInRange("--sample-check", "100.5", percent),
+                ::testing::ExitedWithCode(1), "must be in \\(0, 100\\]");
+}
+
 TEST(OptionsDeathTest, MalformedEnvIsFatalNotSilent)
 {
     // The historical bug: CONSTABLE_THREADS=abc silently became 0 (all
@@ -414,6 +455,31 @@ TEST(OptionsDeathTest, MalformedEnvIsFatalNotSilent)
             ExperimentOptions::fromEnv();
         },
         ::testing::ExitedWithCode(1), "CONSTABLE_TRACE_OPS");
+}
+
+TEST(OptionsDeathTest, EnvTraceOutWithCliFaultPlanExitsCleanly)
+{
+    // fromEnv registers the obs atexit writer before --fault-plan first
+    // builds the fault state, so the writer runs after every static
+    // destructor registered later. It commits the trace through
+    // writeFileAtomic, which consults the armed plan: that plan must
+    // still be alive then (an ASan build reports the use-after-free).
+    std::string trace = (fs::temp_directory_path() /
+                         ("constable-exit-trace-" +
+                          std::to_string(::getpid()) + ".json"))
+                            .string();
+    fs::remove(trace);
+    const char* argv[] = { "prog", "--fault-plan=lease.read:eio@1" };
+    EXPECT_EXIT(
+        {
+            setenv("CONSTABLE_TRACE_OUT", trace.c_str(), 1);
+            ExperimentOptions::fromArgs(2, const_cast<char**>(argv));
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(0), "");
+    std::error_code ec;
+    EXPECT_GT(fs::file_size(trace, ec), 0u) << trace;
+    fs::remove(trace, ec);
 }
 
 TEST(Options, FromArgsOverridesEnv)

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/faultio.hh"
-#include "trace/serialize.hh"
 
 namespace constable {
 namespace {
@@ -119,12 +118,17 @@ TEST_F(FaultIoTest, ClausesSplitOnSemicolonAndComma)
 
 TEST_F(FaultIoTest, EioFailsFirstNThenHeals)
 {
+    ::testing::internal::CaptureStderr();
     installFaultPlan("ckpt.cell.read:eio@2");
     EXPECT_TRUE(faultFailed("ckpt.cell.read"));
     EXPECT_TRUE(faultFailed("ckpt.cell.read"));
     EXPECT_FALSE(faultFailed("ckpt.cell.read")); // healed
     EXPECT_FALSE(faultFailed("ckpt.cell.read"));
     EXPECT_EQ(faultPointHits("ckpt.cell.read"), 4u);
+    // Only the clause's first injection is announced, and outside
+    // writeFileAtomic the notice names no file.
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "faultio: injected eio at fault point 'ckpt.cell.read'\n");
     // Unarmed points are untouched even while a plan is live.
     EXPECT_FALSE(faultFailed("ckpt.cell.commit"));
     EXPECT_EQ(faultPointHits("ckpt.cell.commit"), 0u);
@@ -167,15 +171,21 @@ TEST_F(FaultIoTest, TornWriteCommitsHalfThePayloadButReportsSuccess)
 {
     std::string path = dir + "/victim.bin";
     std::vector<uint8_t> payload(100, 0xab);
+    ::testing::internal::CaptureStderr();
     installFaultPlan("atomic.tmp.write:torn@1");
     EXPECT_TRUE(writeFileAtomic(path, payload)); // silent corruption
     std::vector<uint8_t> back;
-    ASSERT_TRUE(readFileBytes(path, back));
+    EXPECT_TRUE(readFileBytes(path, back));
     EXPECT_LT(back.size(), payload.size());
     // The next write heals: full payload lands.
     EXPECT_TRUE(writeFileAtomic(path, payload));
-    ASSERT_TRUE(readFileBytes(path, back));
+    EXPECT_TRUE(readFileBytes(path, back));
     EXPECT_EQ(back.size(), payload.size());
+    // The notice names the file the fault hit (constable-faultsweep reads
+    // it back to check where atomic.* faults land).
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "faultio: injected torn at fault point 'atomic.tmp.write' "
+              "while writing '" + path + "'\n");
 }
 
 // ------------------------------------------------------------ crash points
@@ -184,7 +194,8 @@ TEST_F(FaultIoTest, CrashExitsWithTheSentinelCode)
 {
     installFaultPlan("ckpt.cell.commit:crash@1"); // no marker dir: always
     EXPECT_EXIT(faultFailed("ckpt.cell.commit"),
-                ::testing::ExitedWithCode(kFaultCrashExitCode), "");
+                ::testing::ExitedWithCode(kFaultCrashExitCode),
+                "injected crash at fault point 'ckpt.cell.commit'");
 }
 
 TEST_F(FaultIoTest, CrashFiresOnTheNthHitOnly)

@@ -103,6 +103,23 @@ TEST(Lint, RawIoFires)
     expectRuleFires("fail_raw_io", "raw-io");
 }
 
+TEST(Lint, RawIoCommonFires)
+{
+    // src/common is in scope too: only common/faultio.cc (exercised by
+    // the clean fixture) may open files directly.
+    expectRuleFires("fail_raw_io_common", "raw-io");
+}
+
+TEST(Lint, RawIoBenchFires)
+{
+    expectRuleFires("fail_raw_io_bench", "raw-io");
+}
+
+TEST(Lint, RawParseFloatFires)
+{
+    expectRuleFires("fail_raw_parse_float", "raw-parse");
+}
+
 TEST(Lint, RawLogFires)
 {
     expectRuleFires("fail_raw_log", "raw-log");

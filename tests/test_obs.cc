@@ -12,13 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/faultio.hh"
 #include "common/logging.hh"
 #include "common/obs.hh"
 #include "sim/mechanisms.hh"
@@ -235,27 +235,47 @@ TEST_F(ObsTest, CorruptPartialFailsWholeMerge)
 {
     obsArm();
     std::string path = dir + "/bad.partial";
+    auto mergeText = [&](const std::string& text) {
+        EXPECT_TRUE(writeFileAtomic(path, text));
+        return obsMergePartial(path);
+    };
 
     // Wrong header.
-    ASSERT_TRUE(fs::exists(dir));
-    {
-        std::string text = "not-a-partial\nC x 1\n";
-        std::FILE* f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fclose(f);
-    }
-    EXPECT_FALSE(obsMergePartial(path));
+    EXPECT_FALSE(mergeText("not-a-partial\nC x 1\nE 1\n"));
 
-    // Malformed counter value: merge must reject, not half-apply.
-    {
-        std::string text = "obs-partial v1\nC test.bad.counter 12x4\n";
-        std::FILE* f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fclose(f);
-    }
+    // A malformed record rejects the whole file: the good counter parsed
+    // before it must not be applied either.
+    EXPECT_FALSE(mergeText(
+        "obs-partial v2\nC probe.good 5\nC probe.bad 12x4\nE 2\n"));
+    EXPECT_EQ(obsCounter("probe.good").value(), 0u);
+
+    // Torn mid-record ("C probe.trunc 314" cut to 31): no line terminator
+    // and no seal, so the merge rejects it instead of applying 31.
+    EXPECT_FALSE(mergeText("obs-partial v2\nC probe.trunc 31"));
+    EXPECT_EQ(obsCounter("probe.trunc").value(), 0u);
+
+    // Torn exactly at a line boundary: every record parses, but the
+    // trailing count is missing (or disagrees), so nothing is applied.
+    EXPECT_FALSE(mergeText("obs-partial v2\nC probe.trunc 314\n"));
+    EXPECT_FALSE(mergeText("obs-partial v2\nC probe.trunc 314\nE 2\n"));
+    EXPECT_EQ(obsCounter("probe.trunc").value(), 0u);
+    EXPECT_TRUE(mergeText("obs-partial v2\nC probe.trunc 314\nE 1\n"));
+    EXPECT_EQ(obsCounter("probe.trunc").value(), 314u);
+
+    // A partial saved under an armed torn write commits half its bytes
+    // and still reports success; the merge must reject it whole.
+    obsReset();
+    obsArm();
+    for (int i = 0; i < 8; ++i)
+        obsCounter("probe.torn." + std::to_string(i)).add(1000 + i);
+    installFaultPlan("atomic.tmp.write:torn");
+    EXPECT_TRUE(obsSavePartial(path, "shard-0"));
+    clearFaultPlan();
+    obsReset();
+    obsArm();
     EXPECT_FALSE(obsMergePartial(path));
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(obsCounter("probe.torn." + std::to_string(i)).value(), 0u);
 }
 
 // --------------------------------------------------------- live progress

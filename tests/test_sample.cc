@@ -113,9 +113,6 @@ TEST(SampleDeterminism, BitIdenticalAcrossThreadCounts)
 
 TEST(SampleDeterminism, ForkShardMatchesInProcess)
 {
-#if !defined(__unix__) && !defined(__APPLE__)
-    GTEST_SKIP() << "fork-shard mode is POSIX-only";
-#endif
     ExperimentResult serial = runSampled(sampledOpts(1));
 
     ExperimentOptions sharded = sampledOpts(1);

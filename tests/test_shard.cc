@@ -571,51 +571,75 @@ TEST_F(ShardTest, ClockSkewOnLeaseAgeIsClampedNotReclaimed)
               serializeRunResult(syntheticCell(0)));
 }
 
-// -------------------------------------------------- cost-model scheduling
+// ------------------------------------------------ cost-aware scheduling
 
-/** Shard-aware scheduling: with a prior BENCH_perf.json as cost model,
- *  workers claim the most expensive preset's cells first (rows ascending
- *  within a preset), not stride order. */
+/** Shard-aware scheduling from the per-cell `.cost` sidecars: a worker
+ *  resuming a directory whose committed cells recorded their compute
+ *  seconds claims the remaining cells most expensive config first (rows
+ *  ascending within a config); a fresh directory claims in stride order;
+ *  a non-numeric sidecar is skipped, never read as its numeric prefix. */
 TEST_F(ShardTest, CostModelClaimsExpensiveCellsFirst)
 {
     SweepManifest m = syntheticManifest();
-    m.configNames = { "fast", "mid", "slow" }; // 2 rows x 3 configs
-    std::string model = dir + "/BENCH_perf.json";
-    std::ofstream(model)
-        << "{\n  \"presets\": [\n"
-           "    {\"name\":\"fast\", \"mops_per_sec\":100.0},\n"
-           "    {\"name\":\"mid\", \"mops_per_sec\":10.0},\n"
-           "    {\"name\":\"slow\", \"mops_per_sec\":1.0}\n  ]\n}\n";
+    m.numRows = 3;
+    m.configNames = { "fast", "mid", "slow" }; // cell = row * 3 + cfg
 
-    std::vector<size_t> computedOrder;
-    auto compute = [&](size_t cell) {
-        computedOrder.push_back(cell); // serial worker: no locking needed
-        return syntheticCell(cell);
+    // Commit row 0 with sidecars; returns the order the rest was claimed.
+    auto resumeWith = [&](const std::string& d,
+                          const std::vector<std::string>& sidecars) {
+        fs::create_directories(d);
+        for (size_t c = 0; c < sidecars.size(); ++c) {
+            std::string cell = cellFilePath(d, m, c);
+            EXPECT_TRUE(saveRunResult(cell, syntheticCell(c)));
+            EXPECT_TRUE(writeFileAtomic(cell + ".cost", sidecars[c]));
+        }
+        std::vector<size_t> order;
+        std::vector<RunResult> out;
+        ShardOutcome oc = runShardedCells(
+            d, m,
+            [&](size_t cell) {
+                order.push_back(cell); // serial worker: no locking needed
+                return syntheticCell(cell);
+            },
+            out, workerOpts(0));
+        EXPECT_EQ(oc.preExisting, sidecars.size());
+        EXPECT_EQ(oc.computed, m.numCells() - sidecars.size());
+        for (size_t c = 0; c < m.numCells(); ++c) {
+            EXPECT_EQ(serializeRunResult(out[c]),
+                      serializeRunResult(syntheticCell(c)));
+        }
+        return order;
     };
-    ShardOptions o = workerOpts(0);
-    o.costModelPath = model;
+
+    // slow (cfg 2) > mid (cfg 1) > fast (cfg 0).
+    std::vector<size_t> ranked =
+        resumeWith(dir + "/ranked", { "0.010000\n", "0.100000\n",
+                                      "1.000000\n" });
+    EXPECT_EQ(ranked, (std::vector<size_t> { 5, 8, 4, 7, 3, 6 }));
+
+    // "9.5x" is skipped, so slow takes the mean observed cost (0.055)
+    // and ranks between mid and fast; a prefix parse would put it first.
+    std::vector<size_t> skipped =
+        resumeWith(dir + "/skipped", { "0.010000\n", "0.100000\n",
+                                       "9.5x\n" });
+    EXPECT_EQ(skipped, (std::vector<size_t> { 4, 7, 5, 8, 3, 6 }));
+
+    // A fresh directory has no sidecars: worker 1 of 3 starts a third of
+    // the way in and wraps around.
+    std::string fresh = dir + "/fresh";
+    fs::create_directories(fresh);
+    std::vector<size_t> stride;
+    ShardOptions o = workerOpts(1);
+    o.shards = 3;
     std::vector<RunResult> out;
-    ShardOutcome oc = runShardedCells(dir, m, compute, out, o);
-    EXPECT_EQ(oc.computed, 6u);
-
-    // Cells are row * 3 + cfg; slow = cfg 2, mid = 1, fast = 0.
-    std::vector<size_t> expected = { 2, 5, 1, 4, 0, 3 };
-    EXPECT_EQ(computedOrder, expected);
-
-    // An unknown preset name gets the mean known cost (neutral), and a
-    // missing file falls back to stride order rather than failing.
-    ShardOptions missing = workerOpts(0);
-    missing.costModelPath = dir + "/no-such.json";
-    std::string d2 = dir + "/fallback";
-    fs::create_directories(d2);
-    std::vector<size_t> fallbackOrder;
-    auto compute2 = [&](size_t cell) {
-        fallbackOrder.push_back(cell);
-        return syntheticCell(cell);
-    };
-    runShardedCells(d2, m, compute2, out, missing);
-    std::vector<size_t> stride = { 0, 1, 2, 3, 4, 5 };
-    EXPECT_EQ(fallbackOrder, stride);
+    runShardedCells(
+        fresh, m,
+        [&](size_t cell) {
+            stride.push_back(cell);
+            return syntheticCell(cell);
+        },
+        out, o);
+    EXPECT_EQ(stride, (std::vector<size_t> { 3, 4, 5, 6, 7, 8, 0, 1, 2 }));
 }
 
 // --------------------------------------------------- experiment integration
@@ -711,8 +735,7 @@ TEST_F(ShardTest, ShardIdBeyondShardCountIsFatal)
 TEST(ShardOptionsParse, FlagsAndEnvRoundTrip)
 {
     const char* argv[] = { "prog", "--shards=4", "--shard-id=2",
-                           "--lease-ttl-sec=7", "--shard-poll-ms=5",
-                           "--cost-model=perf.json" };
+                           "--lease-ttl-sec=7", "--shard-poll-ms=5" };
     auto opts = ExperimentOptions::fromArgs(
         static_cast<int>(std::size(argv)), const_cast<char**>(argv));
     EXPECT_EQ(opts.shards, 4u);
@@ -723,7 +746,8 @@ TEST(ShardOptionsParse, FlagsAndEnvRoundTrip)
     ShardOptions s = opts.shard();
     EXPECT_EQ(s.shards, 4u);
     EXPECT_EQ(s.shardId, 2);
-    EXPECT_EQ(s.costModelPath, "perf.json");
+    EXPECT_EQ(s.leaseTtlSec, 7u);
+    EXPECT_EQ(s.pollMs, 5u);
 
     setenv("CONSTABLE_SHARDS", "3", 1);
     setenv("CONSTABLE_SHARD_ID", "0", 1);

@@ -8,11 +8,13 @@
  * pass/fail fixtures too) and by the CI lint job.
  *
  * Rules:
- *   raw-parse      strtoull/strtol/atoi/std::stoi-family and getenv are
- *                  banned outside src/common/env.hh: every knob must go
- *                  through the strict, range-checked parsers so a typo'd
- *                  value dies loudly instead of silently becoming 0 (the
- *                  PR 6 octal/hex auto-base bug class).
+ *   raw-parse      strtoull/strtol/strtod/atoi/atof/std::stoi- and
+ *                  std::stod-family and getenv are banned outside
+ *                  src/common/env.hh: every knob must go through the
+ *                  strict, range-checked parsers so a typo'd value dies
+ *                  loudly instead of silently becoming 0 or its numeric
+ *                  prefix (the octal/hex auto-base bug class, and
+ *                  "--max-regression=25" quietly disabling a gate).
  *   determinism    rand()/srand()/time()/system_clock are banned in src/:
  *                  RunResult fingerprints must be bit-identical across
  *                  thread counts, shard counts and resume, so simulator
@@ -40,13 +42,13 @@
  *                  tools/ must appear in README.md, so the option table
  *                  can never silently lag the code.
  *   raw-io         fopen/ifstream/ofstream/::open/::rename and friends are
- *                  banned in src/sim, src/trace and src/serve outside the
- *                  shim backend (trace/serialize.cc): every filesystem
- *                  touchpoint must route through the fault-injection shim
- *                  (common/faultio) so constable-faultsweep can prove its
- *                  recovery path. std::filesystem:: spellings (fs::rename
- *                  etc.) are exempt; justified raw sites carry
- *                  `// lint:rawio <why>`.
+ *                  banned in src/ and bench/ outside the shim itself
+ *                  (common/faultio.cc): every file is committed and read
+ *                  through writeFileAtomic/readFileBytes/readFileText so
+ *                  constable-faultsweep can prove its recovery path and
+ *                  no private writer regrows. std::filesystem:: spellings
+ *                  (fs::rename etc.) are exempt; justified raw sites
+ *                  (lease creation, mmap) carry `// lint:rawio <why>`.
  *   raw-log        direct fprintf(stderr, ...) is banned in src/sim,
  *                  src/trace and src/serve: diagnostics must route through
  *                  warn()/inform()/warnOnce() (common/logging.hh) so
@@ -359,7 +361,8 @@ bannedParseIdents()
     static const std::set<std::string> s = {
         "strtol",  "strtoul",  "strtoll", "strtoull", "atoi", "atol",
         "atoll",   "stoi",     "stol",    "stoul",    "stoll", "stoull",
-        "getenv",
+        "strtod",  "strtof",   "strtold", "atof",     "stod",  "stof",
+        "stold",   "getenv",
     };
     return s;
 }
@@ -387,9 +390,10 @@ checkBannedIdentifiers(const SourceFile& sf, std::vector<Violation>& out)
                 out.push_back({ sf.path, l + 1, "raw-parse",
                                 "'" + id + "' is banned outside "
                                 "src/common/env.hh; use parseU64Strict/"
-                                "envU64/envStr so malformed values die "
-                                "loudly (and octal/hex auto-base can "
-                                "never resurface)" });
+                                "parseDoubleInRange/tryParseDouble/envU64/"
+                                "envStr so malformed values die loudly "
+                                "(or are rejected) instead of parsing as "
+                                "0 or a prefix" });
             }
             if (inSrc && bannedClockIdents().count(id)) {
                 // rand/srand/time must look like calls; system_clock is a
@@ -439,14 +443,12 @@ precededBy(const std::string& codeLine, size_t col, const char* pre)
 void
 checkRawIo(const SourceFile& sf, std::vector<Violation>& out)
 {
-    bool inScope = sf.relDir == "src/sim" || sf.relDir == "src/trace" ||
-                   sf.relDir == "src/serve";
+    bool inScope = sf.relDir.rfind("src/", 0) == 0 || sf.relDir == "bench";
     if (!inScope)
         return;
-    // The shim's backend: the one sanctioned home of raw file I/O, where
+    // The shim itself: the one sanctioned home of raw file I/O, where
     // every call is paired with its fault point.
-    if (sf.path.size() >= 18 &&
-        sf.path.compare(sf.path.size() - 18, 18, "trace/serialize.cc") == 0)
+    if (pathEndsWith(sf.path, "common/faultio.cc"))
         return;
     for (size_t l = 0; l < sf.code.size(); ++l) {
         const std::string& cl = sf.code[l];
@@ -462,8 +464,8 @@ checkRawIo(const SourceFile& sf, std::vector<Violation>& out)
             if (hasEscape(sf, l + 1, "lint:rawio"))
                 continue;
             out.push_back({ sf.path, l + 1, "raw-io",
-                            "'" + id + "' is banned in sim/trace/serve "
-                            "outside trace/serialize.cc: route file I/O "
+                            "'" + id + "' is banned in src/ and bench/ "
+                            "outside common/faultio.cc: route file I/O "
                             "through the faultio shim helpers "
                             "(writeFileAtomic/readFileBytes/readFileText) "
                             "so constable-faultsweep covers the call site "

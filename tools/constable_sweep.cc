@@ -34,6 +34,7 @@
 #include <system_error>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/obs.hh"
 #include "sim/experiment.hh"
@@ -165,12 +166,13 @@ sweepMain(int argc, char** argv)
             statusOnly = true;
         } else if (std::strncmp(argv[i], "--sample-check", 14) == 0) {
             sampleCheck = true;
-            if (argv[i][14] == '=')
-                sampleCheckBound = std::strtod(argv[i] + 15, nullptr);
             if (argv[i][14] != '\0' && argv[i][14] != '=')
                 fatal(std::string("unknown option ") + argv[i]);
-            if (!(sampleCheckBound > 0))
-                fatal("--sample-check bound must be a positive percentage");
+            if (argv[i][14] == '=') {
+                sampleCheckBound = parseDoubleInRange(
+                    "--sample-check", argv[i] + 15,
+                    { .lo = 0.0, .hi = 100.0, .loOpen = true });
+            }
         } else {
             if (std::strcmp(argv[i], "--help") == 0 ||
                 std::strcmp(argv[i], "-h") == 0) {
