@@ -116,6 +116,7 @@ class OooCore : private CoreState
 
     // cpu/schedule.cc
     void issueStage();
+    void drainEvents();
     void handleEvent(int slot, uint64_t gen, EventKind kind);
     void tryFastForward();
 

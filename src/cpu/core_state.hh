@@ -15,6 +15,7 @@
 #include <array>
 #include <bit>
 #include <deque>
+#include <memory>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -193,6 +194,31 @@ struct Event
     EventKind kind;
 };
 
+/**
+ * The event wheel's buckets: one slab per future cycle. The slabs are
+ * recycled per thread across cores, like cache tag arrays
+ * (mem/cache.cc): release clears every bucket but keeps its capacity, so
+ * a recycled wheel is exactly as empty as a fresh one, and a new core's
+ * first lap allocates nothing.
+ */
+class EventWheel
+{
+  public:
+    EventWheel();
+    ~EventWheel();
+    EventWheel(const EventWheel&) = delete;
+    EventWheel& operator=(const EventWheel&) = delete;
+
+    std::vector<Event>& operator[](size_t idx) { return (*buckets)[idx]; }
+
+  private:
+    using Buckets = std::array<std::vector<Event>, kEventWheelSize>;
+    /** This thread's one spare wheel: a worker runs one core at a time. */
+    static std::unique_ptr<Buckets>& spare();
+
+    std::unique_ptr<Buckets> buckets;
+};
+
 /** Shared core state; see file header. Construction and the run loop live
  *  in OooCore (cpu/core.hh), which derives from this. */
 struct CoreState
@@ -230,11 +256,11 @@ struct CoreState
      *  loadPorts / occupancy, age-fair across cycles). */
     unsigned loadTokens = 0;
 
-    /** Flat event wheel: one recycled slab per future cycle (clear() keeps
+    /** Event wheel: one recycled slab per future cycle (clear() keeps
      *  capacity, so steady state schedules without allocating), plus an
      *  occupancy bitmap so the idle-cycle fast-forward finds the next
      *  populated bucket with a handful of word scans. */
-    std::array<std::vector<Event>, kEventWheelSize> wheel;
+    EventWheel wheel;
     std::array<uint64_t, kEventWheelSize / 64> wheelOccupied {};
     uint64_t pendingEvents = 0;
 

@@ -323,10 +323,6 @@ class MechanismSet
      *  configuration (inactive mechanisms report zeros). */
     void exportStats(StatSet& s) const;
 
-    /** The Constable engine (tests, table/energy benches). */
-    const ConstableEngine& constableEngine() const { return constable_.engine; }
-    ConstableEngine& constableEngine() { return constable_.engine; }
-
   private:
     /** Invoke cb on every active mechanism, in canonical priority order.
      *  The callback guards itself with `if constexpr (requires ...)` so
@@ -351,12 +347,6 @@ class MechanismSet
     SmallVec<MechRef, 6> active_;
     bool constableActive_ = false;
     bool constableWrongPath_ = false;
-
-  public:
-    // Read-only engine access for stat export and benches.
-    const EvesPredictor& evesPredictor() const { return eves_.eves; }
-    const MrnTable& mrnTable() const { return mrn_.mrn; }
-    const RfpPredictor& rfpPredictor() const { return rfp_.rfp; }
 };
 
 } // namespace constable

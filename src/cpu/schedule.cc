@@ -1,7 +1,8 @@
 /**
  * @file
  * The scheduler: per-port issue with the load-token bucket, event-wheel
- * dispatch, the idle-cycle fast-forward, and the top-level run() loop.
+ * dispatch and slab recycling, the idle-cycle fast-forward, and the
+ * top-level run() loop.
  */
 
 #include "cpu/core.hh"
@@ -10,6 +11,28 @@
 #include "common/obs.hh"
 
 namespace constable {
+
+std::unique_ptr<EventWheel::Buckets>&
+EventWheel::spare()
+{
+    thread_local std::unique_ptr<Buckets> wheel;
+    return wheel;
+}
+
+EventWheel::EventWheel() : buckets(std::move(spare()))
+{
+    if (!buckets)
+        buckets = std::make_unique<Buckets>();
+}
+
+EventWheel::~EventWheel()
+{
+    // A sampled or abandoned run leaves squashed ops' events behind.
+    for (std::vector<Event>& bucket : *buckets)
+        bucket.clear();
+    if (!spare())
+        spare() = std::move(buckets);
+}
 
 void
 OooCore::issueStage()
@@ -92,6 +115,32 @@ OooCore::issueStage()
             }
         }
     }
+}
+
+void
+OooCore::drainEvents()
+{
+    unsigned idx = static_cast<unsigned>(now % kWheelSize);
+    std::vector<Event>& events = wheel[idx];
+    if (events.empty())
+        return;
+    // Recycled slab: drain in place (schedule() can never target the live
+    // bucket -- delays are clamped to [1, kWheelSize-1]) and clear() keeps
+    // the capacity for the next lap.
+    size_t n = events.size();
+    CONSTABLE_ASSERT((wheelOccupied[idx / 64] >> (idx % 64)) & 1,
+                     "draining a populated wheel bucket whose occupancy "
+                     "bit is clear");
+    CONSTABLE_ASSERT(pendingEvents >= n,
+                     "wheel bucket holds more events than the global "
+                     "pending count");
+    pendingEvents -= n;
+    wheelOccupied[idx / 64] &= ~(1ull << (idx % 64));
+    for (size_t i = 0; i < n; ++i) {
+        Event ev = events[i];
+        handleEvent(ev.slot, ev.gen, ev.kind);
+    }
+    events.clear();
 }
 
 void
@@ -232,27 +281,7 @@ OooCore::run()
     while (!allDone && now < cfg.maxCycles) {
         tryFastForward();
         ++now;
-        auto& events = wheel[now % kWheelSize];
-        if (!events.empty()) {
-            // Recycled slab: drain in place (schedule() can never target
-            // the live bucket -- delays are clamped to [1, kWheelSize-1])
-            // and clear() keeps the capacity for the next lap.
-            size_t n = events.size();
-            unsigned idx = static_cast<unsigned>(now % kWheelSize);
-            CONSTABLE_ASSERT((wheelOccupied[idx / 64] >> (idx % 64)) & 1,
-                             "draining a populated wheel bucket whose "
-                             "occupancy bit is clear");
-            CONSTABLE_ASSERT(pendingEvents >= n,
-                             "wheel bucket holds more events than the "
-                             "global pending count");
-            pendingEvents -= n;
-            wheelOccupied[idx / 64] &= ~(1ull << (idx % 64));
-            for (size_t i = 0; i < n; ++i) {
-                Event ev = events[i];
-                handleEvent(ev.slot, ev.gen, ev.kind);
-            }
-            events.clear();
-        }
+        drainEvents();
         checkBlockedLoads();
         retireStage();
         issueStage();

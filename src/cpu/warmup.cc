@@ -213,24 +213,7 @@ OooCore::runSampleWindows(const std::vector<SampleSegment>& segs,
     while (now < cfg.maxCycles) {
         tryFastForward();
         ++now;
-        auto& events = wheel[now % kWheelSize];
-        if (!events.empty()) {
-            size_t n = events.size();
-            unsigned idx = static_cast<unsigned>(now % kWheelSize);
-            CONSTABLE_ASSERT((wheelOccupied[idx / 64] >> (idx % 64)) & 1,
-                             "draining a populated wheel bucket whose "
-                             "occupancy bit is clear");
-            CONSTABLE_ASSERT(pendingEvents >= n,
-                             "wheel bucket holds more events than the "
-                             "global pending count");
-            pendingEvents -= n;
-            wheelOccupied[idx / 64] &= ~(1ull << (idx % 64));
-            for (size_t i = 0; i < n; ++i) {
-                Event ev = events[i];
-                handleEvent(ev.slot, ev.gen, ev.kind);
-            }
-            events.clear();
-        }
+        drainEvents();
         checkBlockedLoads();
         retireStage();
         // Advance over every boundary this cycle's retires crossed. Two

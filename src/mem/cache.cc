@@ -9,45 +9,76 @@ namespace constable {
 namespace {
 
 /** Retired tag arrays kept per thread for reuse. Three geometries recur
- *  (L1D/L2/LLC), so the pool reaches steady state after one run; the cap
- *  bounds a thread at a few MB even when tests churn odd sizes. */
+ *  (L1D/L2/LLC) and best fit hands each its own array back, so the pool
+ *  reaches steady state after one run; the cap bounds a thread at a few MB
+ *  even when tests churn odd sizes. */
 constexpr size_t kMaxPooledArrays = 6;
 
 } // namespace
 
-std::vector<std::vector<Cache::Line>>&
+/**
+ * Retired tag arrays plus the thread's epoch counter. Invariant: every
+ * line of every pooled array carries an epoch no greater than `epoch`, so
+ * the next owner, which takes epoch + 1, finds all of them invalid without
+ * rewriting one. Lines only ever take their owner's epoch or 0, so an
+ * array keeps the invariant when released if its owner's epoch is not
+ * ahead of the counter; that fails only for an array acquired on another
+ * thread or before the counter wrapped, and such arrays are freed. When
+ * the counter wraps, pooled lines may carry any epoch, so the pool is
+ * dropped.
+ */
+struct Cache::LinePool
+{
+    std::vector<std::vector<Line>> arrays;
+    uint32_t epoch = 0;
+};
+
+Cache::LinePool&
 Cache::linePool()
 {
-    thread_local std::vector<std::vector<Line>> pool;
+    thread_local LinePool pool;
     return pool;
 }
 
-std::vector<Cache::Line>
+void
 Cache::acquireLines(size_t n)
 {
-    auto& pool = linePool();
-    for (size_t i = 0; i < pool.size(); ++i) {
-        if (pool[i].capacity() >= n) {
-            std::vector<Line> v = std::move(pool[i]);
-            pool[i] = std::move(pool.back());
-            pool.pop_back();
-            // Value-reset every line: bit-identical starting state to a
-            // freshly value-initialized vector (golden snapshot guarded).
-            v.assign(n, Line{});
-            return v;
-        }
+    LinePool& pool = linePool();
+    if (++pool.epoch == 0) {
+        pool.arrays.clear();
+        pool.epoch = 1;
     }
-    return std::vector<Line>(n);
+    epoch = pool.epoch;
+    // Best fit by line count: an L1D never walks off with an LLC-sized
+    // array that the LLC would then have to allocate afresh.
+    auto& arrays = pool.arrays;
+    size_t best = arrays.size();
+    for (size_t i = 0; i < arrays.size(); ++i) {
+        if (arrays[i].capacity() >= n &&
+            (best == arrays.size() ||
+             arrays[i].capacity() < arrays[best].capacity()))
+            best = i;
+    }
+    if (best == arrays.size()) {
+        lines.assign(n, Line{});
+        return;
+    }
+    lines = std::move(arrays[best]);
+    arrays[best] = std::move(arrays.back());
+    arrays.pop_back();
+    // Shrinking leaves the kept lines untouched; growing value-initializes
+    // only the new tail (epoch 0: invalid).
+    lines.resize(n);
 }
 
 void
-Cache::releaseLines(std::vector<Line>&& v)
+Cache::releaseLines()
 {
-    auto& pool = linePool();
-    if (v.capacity() == 0 || pool.size() >= kMaxPooledArrays)
-        return; // dropped: freed normally
-    v.clear();
-    pool.push_back(std::move(v));
+    LinePool& pool = linePool();
+    if (lines.capacity() == 0 || epoch > pool.epoch ||
+        pool.arrays.size() >= kMaxPooledArrays)
+        return; // freed normally
+    pool.arrays.push_back(std::move(lines));
 }
 
 Cache::Cache(const CacheConfig& cache_cfg) : cfg(cache_cfg)
@@ -59,12 +90,12 @@ Cache::Cache(const CacheConfig& cache_cfg) : cfg(cache_cfg)
     if (!std::has_single_bit(sets))
         fatal("Cache " + cfg.name + ": set count must be a power of two");
     setShift = static_cast<unsigned>(std::countr_zero(sets));
-    lines = acquireLines(numLines);
+    acquireLines(numLines);
 }
 
 Cache::~Cache()
 {
-    releaseLines(std::move(lines));
+    releaseLines();
 }
 
 bool
@@ -74,7 +105,7 @@ Cache::lookup(Addr line, bool is_write)
     Addr tag = tagOf(line);
     for (unsigned w = 0; w < cfg.ways; ++w) {
         Line& l = lines[set * cfg.ways + w];
-        if (l.valid && l.tag == tag) {
+        if (valid(l) && l.tag == tag) {
             l.lru = ++stamp;
             l.rrpv = 0;
             l.dirty |= is_write;
@@ -93,7 +124,7 @@ Cache::contains(Addr line) const
     Addr tag = tagOf(line);
     for (unsigned w = 0; w < cfg.ways; ++w) {
         const Line& l = lines[set * cfg.ways + w];
-        if (l.valid && l.tag == tag)
+        if (valid(l) && l.tag == tag)
             return true;
     }
     return false;
@@ -104,7 +135,7 @@ Cache::victimWay(unsigned set)
 {
     // Prefer an invalid way.
     for (unsigned w = 0; w < cfg.ways; ++w) {
-        if (!lines[set * cfg.ways + w].valid)
+        if (!valid(lines[set * cfg.ways + w]))
             return w;
     }
     if (cfg.policy == ReplPolicy::LRU) {
@@ -138,21 +169,21 @@ Cache::insert(Addr line, bool is_write, bool from_prefetch)
     // Refresh if already present (prefetch racing a demand fill).
     for (unsigned w = 0; w < cfg.ways; ++w) {
         Line& l = lines[set * cfg.ways + w];
-        if (l.valid && l.tag == tag) {
+        if (valid(l) && l.tag == tag) {
             l.dirty |= is_write;
             return;
         }
     }
     unsigned w = victimWay(set);
     Line& l = lines[set * cfg.ways + w];
-    if (l.valid) {
+    if (valid(l)) {
         ++evictions;
         if (evictHook) {
             Addr victimLine = (l.tag << setShift) | set;
             evictHook(victimLine, l.dirty);
         }
     }
-    l.valid = true;
+    l.epoch = epoch;
     l.tag = tag;
     l.dirty = is_write;
     l.lru = ++stamp;
@@ -166,8 +197,8 @@ Cache::invalidate(Addr line)
     Addr tag = tagOf(line);
     for (unsigned w = 0; w < cfg.ways; ++w) {
         Line& l = lines[set * cfg.ways + w];
-        if (l.valid && l.tag == tag) {
-            l.valid = false;
+        if (valid(l) && l.tag == tag) {
+            l.epoch = 0;
             return l.dirty;
         }
     }

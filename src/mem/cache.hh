@@ -49,11 +49,10 @@ class Cache
 
     /** The backing tag array is recycled through a per-thread pool across
      *  Cache lifetimes (a batch worker constructs three arrays per
-     *  simulated run; reusing the allocations keeps construction out of
-     *  the sweep profile), so a Cache must be destroyed on the thread
-     *  that created it — true for every runTrace/runSmtPair job. Copies
-     *  would each release into the pool independently, which is safe but
-     *  pointless; moves keep the buffer. */
+     *  simulated run) and is never rewritten on reuse: each Cache takes a
+     *  fresh epoch instead, and a line is valid only while it carries its
+     *  owner's epoch (see Line). Construction from a warm pool therefore
+     *  costs O(1), not O(lines). Moves keep the buffer and its epoch. */
     Cache(const Cache&) = delete;
     Cache& operator=(const Cache&) = delete;
     Cache(Cache&&) = default;
@@ -85,29 +84,36 @@ class Cache
     uint64_t evictions = 0;
 
   private:
-    /** Packed to 24 bytes: the tag array is value-initialized per run and
-     *  scanned way-by-way, so line size is both memset and probe cost. */
+    /** Packed to 24 bytes: the tag array is scanned way-by-way, so line
+     *  size is probe cost. A line is valid iff its epoch equals its
+     *  owner's; every other field of an invalid line is read only to be
+     *  overwritten by insert(), so a recycled line from an earlier owner is
+     *  indistinguishable from a value-initialized one. */
     struct Line
     {
         Addr tag = 0;
         uint64_t lru = 0;     ///< recency stamp (LRU)
+        uint32_t epoch = 0;   ///< owner's epoch when valid; 0 = invalidated
         uint8_t rrpv = 3;     ///< re-reference prediction value (RRIP)
-        bool valid = false;
         bool dirty = false;
     };
+    static_assert(sizeof(Line) == 24, "the epoch must fit the padding");
 
+    bool valid(const Line& l) const { return l.epoch == epoch; }
     unsigned setIndex(Addr line) const { return line & (sets - 1); }
     Addr tagOf(Addr line) const { return line >> setShift; }
     unsigned victimWay(unsigned set);
 
-    /** Per-thread recycled tag-array storage (see the dtor note above). */
-    static std::vector<std::vector<Line>>& linePool();
-    static std::vector<Line> acquireLines(size_t n);
-    static void releaseLines(std::vector<Line>&& v);
+    /** Per-thread recycled tag-array storage (see cache.cc). */
+    struct LinePool;
+    static LinePool& linePool();
+    void acquireLines(size_t n);
+    void releaseLines();
 
     CacheConfig cfg;
     unsigned sets;
     unsigned setShift;
+    uint32_t epoch = 0;        ///< validity stamp of this owner's lines
     uint64_t stamp = 0;
     std::vector<Line> lines;   ///< sets * ways, row-major
     EvictHook evictHook;

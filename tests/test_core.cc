@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "inspector/load_inspector.hh"
 #include "sim/batch.hh"
 #include "sim/mechanisms.hh"
 #include "sim/runner.hh"
+#include "sim/sample.hh"
+#include "trace/serialize.hh"
 #include "workloads/suite.hh"
 
 namespace constable {
@@ -310,6 +315,54 @@ TEST(Smt, ConstableWorksUnderSmt)
     EXPECT_FALSE(cons.goldenCheckFailed);
     EXPECT_GT(cons.stats.get("loads.eliminated"), 0.0);
     EXPECT_GT(speedup(cons, base), 0.97);
+}
+
+TEST(Core, RecycledStateMatchesFreshThread)
+{
+    // Cores recycle cache tag arrays and event-wheel slabs per thread. A
+    // cell must not see what earlier cells on its thread left behind:
+    // other geometries, mechanisms, an SMT2 pair and an abandoned run.
+    Trace t = smokeTrace(1, 2'000);
+    Trace a = smokeTrace(0, 2'000);
+    Trace b = smokeTrace(4, 2'000);
+    SystemConfig cons { CoreConfig{}, mechFor("constable") };
+    std::vector<uint8_t> fresh;
+    std::thread([&] {
+        fresh = serializeRunResult(runTrace(t, cons));
+    }).join();
+    std::vector<uint8_t> reused;
+    std::thread([&] {
+        runSmtPair(a, b, { CoreConfig{}, mechFor("baseline") });
+        CoreConfig shallow;
+        shallow.depthScale = 0.5;
+        runTrace(a, { shallow, mechFor("baseline") });
+        runTrace(b, { CoreConfig{}, mechFor("eves+constable") });
+        runTrace(a, { CoreConfig{}, mechFor("rfp") });
+        // A sampled run squashes its pipeline after each measured
+        // stretch, so its core dies with events still on the wheel.
+        runSampledTrace(smokeTrace(1, 8'000), CoreConfig{}, cons.mech,
+                        SampleOptions::parse("phases:2,window:500,fill:256,"
+                                             "warm:512,spread:1"),
+                        1);
+        reused = serializeRunResult(runTrace(t, cons));
+    }).join();
+    ASSERT_FALSE(fresh.empty());
+    EXPECT_EQ(fresh, reused);
+}
+
+TEST(EventWheel, RecycledBucketsStartEmpty)
+{
+    std::thread([] {
+        {
+            EventWheel dying;
+            for (unsigned i = 0; i < kEventWheelSize; i += 7)
+                dying[i].push_back(Event{ 1, 2, EventKind::ExecDone });
+        }
+        EventWheel w;
+        EXPECT_GT(w[0].capacity(), 0u) << "wheel was not recycled";
+        for (unsigned i = 0; i < kEventWheelSize; ++i)
+            EXPECT_TRUE(w[i].empty()) << "bucket " << i;
+    }).join();
 }
 
 TEST(Runner, RelocateTraceShiftsEverything)

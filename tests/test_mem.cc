@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/directory.hh"
 #include "mem/dram.hh"
@@ -102,6 +106,105 @@ TEST(Cache, RripPrefetchInsertsEvictFirst)
     c.insert(2 * sets, false);             // evicts the prefetch
     EXPECT_TRUE(c.contains(0 * sets));
     EXPECT_FALSE(c.contains(1 * sets));
+}
+
+// --------------------------------------------------- tag-array recycling
+
+/** Everything one replay observes: each operation's outcome, the
+ *  evict-hook (line, dirty) sequence and the final counters. */
+struct ReplayLog
+{
+    std::vector<int> outcomes;
+    std::vector<std::pair<Addr, bool>> evictions;
+    std::vector<uint64_t> counters;
+};
+
+/** 16 sets x 32 tags. The 4096-line stride maps a line to the same set in
+ *  the L1D, L2 and LLC geometries (all have <= 4096 sets), and 32 tags
+ *  overflow every set of every one of them. */
+Addr
+replayLine(uint64_t r)
+{
+    return (r % 16) + ((r >> 8) % 32) * 4096;
+}
+
+/** One fixed insert/lookup/invalidate sequence. */
+void
+replay(Cache& c, ReplayLog& log)
+{
+    c.setEvictHook([&log](Addr line, bool dirty) {
+        log.evictions.emplace_back(line, dirty);
+    });
+    uint64_t r = 12345;
+    for (int i = 0; i < 6000; ++i) {
+        r = r * 6364136223846793005ull + 1442695040888963407ull;
+        Addr line = replayLine(r >> 33);
+        switch ((r >> 20) % 4) {
+          case 0:
+          case 1:
+            if (c.lookup(line, (r >> 24) & 1)) {
+                log.outcomes.push_back(1);
+            } else {
+                log.outcomes.push_back(0);
+                c.insert(line, (r >> 25) & 1);
+            }
+            break;
+          case 2:
+            c.insert(line, false, true);
+            log.outcomes.push_back(c.contains(line) ? 3 : 2);
+            break;
+          default: {
+              std::optional<bool> dirty = c.invalidate(line);
+              log.outcomes.push_back(!dirty ? 4 : *dirty ? 6 : 5);
+          }
+        }
+    }
+    log.counters = { c.hits, c.misses, c.evictions };
+}
+
+/** Replay on an L1D- and an LLC-geometry cache built on this thread. */
+std::vector<ReplayLog>
+replayL1dAndLlc()
+{
+    HierarchyConfig h;
+    Cache l1d(h.l1d);
+    Cache llc(h.llc);
+    std::vector<ReplayLog> logs(2);
+    replay(l1d, logs[0]);
+    replay(llc, logs[1]);
+    return logs;
+}
+
+TEST(Cache, RecycledArrayStartsCold)
+{
+    // Leave this thread's pool an LLC and an L2 array full of dirty lines
+    // over the very addresses the replay touches: best fit then hands the
+    // L2 array to the L1D and the LLC array back to the LLC.
+    std::vector<ReplayLog> recycled;
+    std::thread([&recycled] {
+        HierarchyConfig h;
+        {
+            Cache llc(h.llc);
+            Cache l2(h.l2);
+            for (uint64_t r = 0; r < 8192; ++r) {
+                llc.insert(replayLine(r), true);
+                l2.insert(replayLine(r), true);
+            }
+        }
+        recycled = replayL1dAndLlc();
+    }).join();
+    std::vector<ReplayLog> fresh;
+    std::thread([&fresh] { fresh = replayL1dAndLlc(); }).join();
+
+    ASSERT_EQ(recycled.size(), 2u);
+    ASSERT_EQ(fresh.size(), 2u);
+    for (size_t i = 0; i < 2; ++i) {
+        SCOPED_TRACE(i == 0 ? "L1D" : "LLC");
+        EXPECT_EQ(recycled[i].outcomes, fresh[i].outcomes);
+        EXPECT_EQ(recycled[i].evictions, fresh[i].evictions);
+        EXPECT_EQ(recycled[i].counters, fresh[i].counters);
+        EXPECT_FALSE(fresh[i].evictions.empty());
+    }
 }
 
 TEST(Prefetch, StrideDetectsAfterTraining)

@@ -48,6 +48,14 @@ TEST(MemImage, CrossPageAccess)
     m.write(a, 0x1122334455667788ull, 8);
     EXPECT_EQ(m.read(a, 8), 0x1122334455667788ull);
     EXPECT_EQ(m.numPages(), 2u);
+
+    // An access ending exactly at the page boundary stays on one page; a
+    // read crossing into a page never written sees zeros there.
+    MemImage edge;
+    edge.write(4096 - 8, 0x1122334455667788ull, 8);
+    EXPECT_EQ(edge.read(4096 - 8, 8), 0x1122334455667788ull);
+    EXPECT_EQ(edge.numPages(), 1u);
+    EXPECT_EQ(edge.read(4096 - 4, 8), 0x11223344u);
 }
 
 TEST(MemImage, PartialOverwrite)
