@@ -14,7 +14,7 @@
  *   ./build/bench/perf_regression --repeats=3 \
  *       --check-against=bench/BENCH_perf_baseline.json # gate vs baseline
  *
- * Build Release (-O2, NDEBUG) for meaningful numbers; per-cell checkpoints
+ * Build Release (-O3, NDEBUG) for meaningful numbers; per-cell checkpoints
  * are force-disabled so every cell really simulates.
  */
 
@@ -162,7 +162,8 @@ perfMain(int argc, char** argv)
                 parseU64InRange("--repeats", valueOf(arg, i), 1, 1000));
         } else if (flag == "--shard-scaling") {
             flags.shardScaling = static_cast<unsigned>(
-                parseU64Strict("--shard-scaling", valueOf(arg, i)));
+                parseU64InRange("--shard-scaling", valueOf(arg, i), 0,
+                                ShardOptions::kMaxShards));
         } else if (flag == "--sampled-leg") {
             flags.sampledLeg = true;
             if (arg.find('=') != std::string::npos)

@@ -59,10 +59,6 @@ faultPointTable()
           "LeaseHeartbeat: background mtime refresh of a held lease" },
         { "lease.age", "clock",
           "guarded lease age: reader clock vs lease-file mtime" },
-        { "fleet.calib.read", "read",
-          "runFleetScenario: reading the calibration cache" },
-        { "fleet.calib.write", "write",
-          "runFleetScenario: writing the calibration cache" },
     };
     return table;
 }

@@ -6,13 +6,12 @@
  * readFileText) through which the program commits and reads every file.
  *
  * Each I/O call site (atomic writes, lease create/heartbeat/release,
- * checkpoint and trace-cache reads/writes, fleet calibration persistence)
- * names a *fault point* from the central registry (faultPointTable()) and
- * asks faultFailed() whether an armed FaultPlan wants to inject a failure
- * there. With no plan armed — the production and CI-perf configuration —
- * every check is a single relaxed atomic load and a predicted branch, so
- * the shim adds nothing measurable to paths that are about to issue real
- * syscalls anyway.
+ * checkpoint and trace-cache reads/writes) names a *fault point* from the
+ * central registry (faultPointTable()) and asks faultFailed() whether an
+ * armed FaultPlan wants to inject a failure there. With no plan armed —
+ * the production and CI-perf configuration — every check is a single
+ * relaxed atomic load and a predicted branch, so the shim adds nothing
+ * measurable to paths that are about to issue real syscalls anyway.
  *
  * A plan comes from CONSTABLE_FAULT_PLAN (or --fault-plan, or
  * installFaultPlan() in tests) with the grammar
@@ -123,8 +122,8 @@ double faultSkewSeconds(const char* point);
 
 /**
  * The atomic-write primitive behind every file this program commits
- * (trace cache, checkpoint cells, manifests, calibration caches, obs
- * outputs, perf recordings): bytes go to a tmp file named with a PID +
+ * (trace cache, checkpoint cells, manifests, obs outputs, perf
+ * recordings): bytes go to a tmp file named with a PID +
  * per-process-random suffix (safe when many processes write the same
  * entry concurrently), and the rename is the commit point. With
  * durable=true the tmp file is fsync'd before the rename (and the

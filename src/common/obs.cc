@@ -41,7 +41,7 @@ struct SpanRec
 };
 
 /** A trace lane: one real thread's ring buffer, or a synthetic lane
- *  (merged shard partials, fleet machine classes). */
+ *  (merged shard partials). */
 struct Lane
 {
     std::string name;

@@ -238,7 +238,7 @@ class ObsSpan
 void obsSetThreadLane(const std::string& lane);
 
 /** Append a span with explicit timing to a named (possibly synthetic)
- *  lane — fleet machine classes, fault-backoff sleeps reconstructed after
+ *  lane — merged shard partials, fault-backoff sleeps reconstructed after
  *  the fact. Empty lane = the calling thread's lane. Mutex-guarded, so
  *  keep this off hot paths. */
 void obsEmitSpan(const std::string& lane, const std::string& name,

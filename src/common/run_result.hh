@@ -3,9 +3,9 @@
  * The outcome of one simulation run: cycle/instruction totals, per-thread
  * figures, the golden-check verdict, and the full named-stat map. Lives in
  * common/ (not cpu/) because every layer above the core consumes it --
- * trace/serialize.cc checkpoints it, sim/ sweeps aggregate it, serve/
- * calibrates from it -- and the layering rule (see tools/constable-lint)
- * forbids those layers' headers from reaching back into cpu/.
+ * trace/serialize.cc checkpoints it and sim/ sweeps aggregate it -- and
+ * the layering rule (see tools/constable-lint) forbids those layers'
+ * headers from reaching back into cpu/.
  */
 
 #ifndef CONSTABLE_COMMON_RUN_RESULT_HH

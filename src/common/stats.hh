@@ -38,7 +38,7 @@ double mean(const std::vector<double>& v);
 /**
  * Linear-interpolated percentile (p in [0, 1]) of an ascending-sorted
  * sample vector; 0 for empty input. The primitive behind BoxWhisker's
- * quartiles and the serving tier's latency tails (p50/p95/p99).
+ * quartiles.
  */
 double percentileSorted(const std::vector<double>& sorted, double p);
 

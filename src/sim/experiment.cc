@@ -303,7 +303,13 @@ ExperimentOptions::shard() const
 {
     // Cross-field checks live here (not in fromEnv) so a fleet launcher
     // can put CONSTABLE_SHARD_ID in each machine's environment and pass
-    // --shards on the shared command line.
+    // --shards on the shared command line. The shard cap is rechecked here
+    // for callers that set `shards` directly rather than through a flag.
+    if (shards > ShardOptions::kMaxShards) {
+        fatal("--shards=" + std::to_string(shards) + " out of range: at "
+              "most " + std::to_string(ShardOptions::kMaxShards) +
+              " workers");
+    }
     if (shardId >= 0 && static_cast<unsigned>(shardId) >= shards) {
         fatal("shard id " + std::to_string(shardId) +
               " out of range: --shards=" + std::to_string(shards) +

@@ -13,8 +13,9 @@
  *    is configured: each trace is generated once and loaded thereafter,
  *    keyed by a hash of the full spec.
  *
- *  - Experiment: a facade over runMatrix()/runSmtMatrix() with *named*
- *    configurations, optional per-cell RunResult checkpointing (an
+ *  - Experiment: a {suite x *named* configuration} sweep whose cells run
+ *    through forEachJob() in process or through the shard tier
+ *    (sim/shard.hh), with optional per-cell RunResult checkpointing (an
  *    interrupted sweep resumes from completed cells, bit-identical to an
  *    uninterrupted run), and the paper's category geomean / mean /
  *    box-whisker reporters as methods on the result.

@@ -20,33 +20,6 @@
  * bit-identity against the preset-table path (the CI scenario-smoke job
  * does exactly that). Parsing is strict: unknown directives, malformed
  * numbers, duplicate scalars and unknown preset names all fatal().
- *
- * Scenarios can also declare a *fleet* (the serving tier, serve/fleet.hh)
- * with brace-delimited blocks in the style of the cloudsim EEC testcases:
- *
- *     name web-fleet
- *     machine class {
- *         name big            # unique machine-class name
- *         mech constable      # registry preset serving this class
- *         cores 8             # cores per replica
- *         replicas 4          # replicas (machines) of this class
- *         idle-pj-per-cycle 8 # optional static draw per idle core-cycle
- *     }
- *     task class {
- *         name steady-web
- *         machine big         # optional pin; absent = dispatcher's choice
- *         inter-arrival 2000  # mean gap between arrivals (cycles)
- *         expected-ops 40000  # trace-ops of work per request
- *         sla SLA0            # SLA0 | SLA1 | SLA2 (strictest first)
- *         seed 520030         # arrival-process RNG stream (optional)
- *         start 0             # first arrivals no earlier than this cycle
- *         end 1500000         # arrivals stop here (required, > start)
- *         arrivals poisson    # poisson (default) | fixed gaps
- *     }
- *
- * Fleet scenarios are driven by `constable-serve`; the top-level `mech`
- * and `smt` directives are mutually exclusive with fleet blocks, while
- * `trace-ops` / `suite-limit` still scale the calibration sweep.
  */
 
 #ifndef CONSTABLE_SIM_SCENARIO_HH
@@ -59,42 +32,7 @@
 
 namespace constable {
 
-/** SLA tiers of the fleet serving grammar, strictest first (mirroring the
- *  cloudsim testcases). The tier sets a request's latency budget as a
- *  multiple of its pure service time (serve/fleet.hh). */
-enum class SlaTier : uint8_t { Sla0 = 0, Sla1 = 1, Sla2 = 2 };
-
-/** Number of SLA tiers (array sizing for per-tier reports). */
-inline constexpr size_t kNumSlaTiers = 3;
-
-/** One `machine class { ... }` block: a pool of identical replicas, each
- *  with `cores` cores, all running one mechanism preset. */
-struct FleetMachineClass
-{
-    std::string name;            ///< unique class name
-    std::string mech;            ///< registry preset serving this class
-    unsigned cores = 1;          ///< cores per replica
-    unsigned replicas = 1;       ///< replicas (machines) of this class
-    uint64_t idlePjPerCycle = 0; ///< static draw per idle core-cycle (pJ)
-};
-
-/** One `task class { ... }` block: an open-loop arrival process of
- *  fixed-size trace-job requests carrying an SLA tier. */
-struct FleetTaskClass
-{
-    std::string name;          ///< unique class name
-    std::string machine;       ///< pin to a machine class; empty = any
-    uint64_t interArrival = 0; ///< mean gap between arrivals (cycles)
-    uint64_t expectedOps = 0;  ///< trace-ops of work per request
-    SlaTier sla = SlaTier::Sla2;
-    uint64_t seed = 0;         ///< arrival-process RNG stream
-    uint64_t start = 0;        ///< first arrivals no earlier than this
-    uint64_t end = 0;          ///< arrivals stop here (exclusive)
-    bool poisson = true;       ///< exponential gaps; false = fixed gaps
-};
-
-/** A parsed scenario: which presets over which suite, SMT or not — or a
- *  fleet of machine/task classes for the serving tier. */
+/** A parsed scenario: which presets over which suite, SMT or not. */
 struct Scenario
 {
     std::string name = "scenario";      ///< experiment/checkpoint identity
@@ -102,12 +40,6 @@ struct Scenario
     bool smt = false;                   ///< run the SMT2 pair matrix
     size_t traceOps = 0;                ///< 0 = inherit ExperimentOptions
     size_t suiteLimit = 0;              ///< 0 = inherit ExperimentOptions
-    std::vector<FleetMachineClass> machines; ///< fleet machine classes
-    std::vector<FleetTaskClass> tasks;       ///< fleet task classes
-
-    /** True when the scenario declares a fleet (serve/fleet.hh); such
-     *  scenarios run under constable-serve, not the bench sweep path. */
-    bool isFleet() const { return !machines.empty(); }
 };
 
 /** Parse scenario text; @p what names the source in fatal() messages. */

@@ -180,15 +180,26 @@ putOp(ByteWriter& w, const MicroOp& op)
     w.u64(op.target);
 }
 
+/** Decode one op; false on truncation or on any field out of range. The
+ *  checksum only proves the bytes are the ones written, so a field the
+ *  core indexes by (registers against its rename map, the class and mode
+ *  enums) must be checked here before it reaches the pipeline. */
 bool
-getOp(ByteReader& r, MicroOp& op)
+getOp(ByteReader& r, unsigned num_arch_regs, MicroOp& op)
 {
     uint8_t cls, mode, taken;
     bool ok = r.u64(op.pc) && r.u8(cls) && r.u8(mode) && r.u8(op.src[0]) &&
               r.u8(op.src[1]) && r.u8(op.src[2]) && r.u8(op.dst) &&
               r.u8(op.size) && r.u64(op.effAddr) && r.u64(op.value) &&
               r.u8(taken) && r.u64(op.target);
-    if (!ok)
+    if (!ok || cls > static_cast<uint8_t>(OpClass::Nop) ||
+        mode > static_cast<uint8_t>(AddrMode::RegRel) || taken > 1 ||
+        op.size < 1 || op.size > 8)
+        return false;
+    auto regOk = [num_arch_regs](uint8_t reg) {
+        return reg == kNoReg || reg < num_arch_regs;
+    };
+    if (!regOk(op.dst) || !std::all_of(op.src.begin(), op.src.end(), regOk))
         return false;
     op.cls = static_cast<OpClass>(cls);
     op.addrMode = static_cast<AddrMode>(mode);
@@ -272,7 +283,8 @@ deserializeTrace(const uint8_t* bytes, size_t n, Trace& out)
     Trace t;
     uint32_t regs;
     uint64_t nOps, nSnoops;
-    if (!r.str(t.name) || !r.str(t.category) || !r.u32(regs) || !r.u64(nOps))
+    if (!r.str(t.name) || !r.str(t.category) || !r.u32(regs) ||
+        (regs != kNumArchRegs && regs != kNumArchRegsApx) || !r.u64(nOps))
         return false;
     t.numArchRegs = regs;
     // Per-op payload is 40 bytes; reject absurd counts before reserving.
@@ -280,7 +292,7 @@ deserializeTrace(const uint8_t* bytes, size_t n, Trace& out)
         return false;
     t.ops.resize(nOps);
     for (MicroOp& op : t.ops) {
-        if (!getOp(r, op))
+        if (!getOp(r, regs, op))
             return false;
     }
     if (!r.u64(nSnoops) || nSnoops > r.remaining() / 16 + 1)

@@ -112,6 +112,52 @@ TEST(TraceSerialize, RejectsCorruptionAndTruncation)
     auto wrongMagic = bytes;
     wrongMagic[0] ^= 0xff;
     EXPECT_FALSE(deserializeTrace(wrongMagic, out));
+
+    // Checksum-valid traces carrying an out-of-range field: the checksum
+    // passes, so only the decoder's range checks stand between these and
+    // rename indexing its 32-entry map with them.
+    ASSERT_EQ(t.numArchRegs, 16u);
+    auto withField = [&t](auto mutate) {
+        Trace bad = t;
+        mutate(bad);
+        return serializeTrace(bad);
+    };
+    const std::vector<std::vector<uint8_t>> badFields = {
+        withField([](Trace& b) { b.ops[0].src[0] = 40; }),
+        withField([](Trace& b) { b.ops[0].src[2] = 16; }),
+        withField([](Trace& b) { b.ops[0].dst = 200; }),
+        withField([](Trace& b) { b.ops[0].cls = static_cast<OpClass>(200); }),
+        withField([](Trace& b) {
+            b.ops[0].addrMode = static_cast<AddrMode>(4);
+        }),
+        withField([](Trace& b) { b.ops[0].size = 0; }),
+        withField([](Trace& b) { b.ops[0].size = 9; }),
+        withField([](Trace& b) { b.numArchRegs = 1000; }),
+        withField([](Trace& b) { b.numArchRegs = 24; }),
+    };
+    for (size_t i = 0; i < badFields.size(); ++i)
+        EXPECT_FALSE(deserializeTrace(badFields[i], out)) << "case " << i;
+
+    // serializeTrace writes taken only as 0 or 1, so find op 0's taken
+    // byte by flipping the flag, then patch the byte and re-seal.
+    Trace flip = t;
+    flip.ops[0].taken = !flip.ops[0].taken;
+    auto patched = serializeTrace(flip);
+    ASSERT_EQ(patched.size(), bytes.size());
+    size_t at = 0;
+    while (at < bytes.size() - 8 && patched[at] == bytes[at])
+        ++at;
+    ASSERT_LT(at, bytes.size() - 8);
+    auto reseal = [](std::vector<uint8_t>& b) {
+        uint64_t h = fnv1a(b.data(), b.size() - 8);
+        for (size_t i = 0; i < 8; ++i)
+            b[b.size() - 8 + i] = static_cast<uint8_t>(h >> (8 * i));
+    };
+    reseal(patched); // a no-op re-seal must still decode
+    EXPECT_TRUE(deserializeTrace(patched, out));
+    patched[at] = 2;
+    reseal(patched);
+    EXPECT_FALSE(deserializeTrace(patched, out));
 }
 
 TEST(RunResultSerialize, RoundTripPreservesStatsBitExactly)

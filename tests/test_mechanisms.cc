@@ -200,6 +200,8 @@ TEST(ScenarioDeathTest, MalformedFilesAreFatalNotSilent)
     };
     EXPECT_EXIT(parse("speed 9000\n"), ::testing::ExitedWithCode(1),
                 "unknown directive 'speed'");
+    EXPECT_EXIT(parse("machine class {\n"), ::testing::ExitedWithCode(1),
+                "unknown directive 'machine'");
     EXPECT_EXIT(parse("mech constable\nname a\nname b\n"),
                 ::testing::ExitedWithCode(1), "duplicate 'name'");
     EXPECT_EXIT(parse("mech constable\nsmt maybe\n"),

@@ -730,6 +730,12 @@ TEST_F(ShardTest, ShardIdBeyondShardCountIsFatal)
     o.shards = 2;
     o.shardId = 2;
     EXPECT_EXIT(o.shard(), ::testing::ExitedWithCode(1), "out of range");
+
+    // A shard count set directly (perf_regression --shard-scaling) must
+    // meet the same cap --shards and CONSTABLE_SHARDS enforce.
+    o.shards = ShardOptions::kMaxShards + 1;
+    o.shardId = -1;
+    EXPECT_EXIT(o.shard(), ::testing::ExitedWithCode(1), "out of range");
 }
 
 TEST(ShardOptionsParse, FlagsAndEnvRoundTrip)

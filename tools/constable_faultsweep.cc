@@ -12,11 +12,10 @@
  *  - "write" points take eio, torn and crash,
  *  - "clock" points take skew.
  *
- * Child modes run a real workload: `--run-sweep` executes a worker-mode
- * sharded experiment (lease claims, heartbeats, manifest, per-cell
- * checkpoints) and `--run-fleet` a fleet scenario with calibration-cache
- * persistence. Each prints its final matrix/report fingerprint and the
- * armed clause's hit counts.
+ * The child (`--run-sweep`) runs a real workload: a worker-mode sharded
+ * experiment (lease claims, heartbeats, manifest, per-cell checkpoints).
+ * It prints its final matrix fingerprint and the armed clause's hit
+ * counts.
  *
  * A pair PASSES when the child's fingerprint is bit-identical to the
  * fault-free baseline — crash points included, after re-launching into
@@ -44,7 +43,6 @@
 #include "common/faultio.hh"
 #include "common/logging.hh"
 #include "common/obs.hh"
-#include "serve/fleet.hh"
 #include "sim/experiment.hh"
 #include "sim/scenario.hh"
 #include "sim/shard.hh"
@@ -55,40 +53,7 @@ namespace {
 using namespace constable;
 namespace fs = std::filesystem;
 
-constexpr size_t kTraceOps = 1500;
 constexpr unsigned kLaunchesPerRun = 3;
-
-/** Common child knobs: small, fast, and through the full machinery. */
-ExperimentOptions
-childOptions()
-{
-    ExperimentOptions opts = ExperimentOptions::fromEnv();
-    opts.threads = 2;
-    opts.traceOps = kTraceOps;
-    opts.suiteLimit = 3;
-    // Ambient CONSTABLE_TRACE_OUT/METRICS_OUT must not leak into the
-    // crash-and-relaunch children: dozens of processes would race their
-    // atexit writers on the same two files. Fingerprint comparison is the
-    // observable here, not traces.
-    opts.traceOutPath.clear();
-    opts.metricsOutPath.clear();
-    obsReset();
-    opts.leaseTtlSec = 2;
-    opts.shardPollMs = 50;
-    return opts;
-}
-
-void
-printChildResult(uint64_t fingerprint)
-{
-    std::printf("result fingerprint: %016llx\n",
-                static_cast<unsigned long long>(fingerprint));
-    for (const auto& [point, hits] : faultArmedHits()) {
-        std::printf("fault hits: %s %llu\n", point.c_str(),
-                    static_cast<unsigned long long>(hits));
-    }
-    std::fflush(stdout);
-}
 
 /**
  * Worker-mode sharded sweep: one process claims every cell itself, so
@@ -101,7 +66,20 @@ printChildResult(uint64_t fingerprint)
 int
 runSweepChild()
 {
-    ExperimentOptions opts = childOptions();
+    // Small and fast, but through the full machinery.
+    ExperimentOptions opts = ExperimentOptions::fromEnv();
+    opts.threads = 2;
+    opts.traceOps = 1500;
+    opts.suiteLimit = 3;
+    // Ambient CONSTABLE_TRACE_OUT/METRICS_OUT must not leak into the
+    // crash-and-relaunch children: dozens of processes would race their
+    // atexit writers on the same two files. Fingerprint comparison is the
+    // observable here, not traces.
+    opts.traceOutPath.clear();
+    opts.metricsOutPath.clear();
+    obsReset();
+    opts.leaseTtlSec = 2;
+    opts.shardPollMs = 50;
     opts.shards = 2;
     opts.shardId = 0;
     if (opts.checkpointDir.empty())
@@ -135,43 +113,14 @@ runSweepChild()
     }
 
     ExperimentResult res = exp.run();
-    printChildResult(resultFingerprint(res.matrix()));
-    return 0;
-}
-
-/** Fleet scenario with calibration-cache persistence; the calibration
- *  sweep runs through the plain (non-sharded) checkpoint/resume path. */
-int
-runFleetChild()
-{
-    ExperimentOptions opts = childOptions();
-    if (opts.checkpointDir.empty())
-        fatal("--run-fleet needs CONSTABLE_CHECKPOINT_DIR");
-
-    Scenario sc;
-    sc.name = "faultsweep-fleet";
-    sc.traceOps = kTraceOps;
-    sc.suiteLimit = 2;
-    FleetMachineClass m;
-    m.name = "m0";
-    m.mech = "baseline";
-    m.cores = 2;
-    m.replicas = 1;
-    m.idlePjPerCycle = 1;
-    sc.machines.push_back(m);
-    FleetTaskClass t;
-    t.name = "t0";
-    t.interArrival = 5000;
-    t.expectedOps = 2000;
-    t.start = 0;
-    t.end = 200'000;
-    t.poisson = false;
-    t.sla = SlaTier::Sla1;
-    t.seed = 7;
-    sc.tasks.push_back(t);
-
-    FleetReport rep = runFleetScenario(sc, opts);
-    printChildResult(rep.fingerprint());
+    std::printf("result fingerprint: %016llx\n",
+                static_cast<unsigned long long>(
+                    resultFingerprint(res.matrix())));
+    for (const auto& [point, hits] : faultArmedHits()) {
+        std::printf("fault hits: %s %llu\n", point.c_str(),
+                    static_cast<unsigned long long>(hits));
+    }
+    std::fflush(stdout);
     return 0;
 }
 
@@ -261,9 +210,10 @@ durableSweepFile(const std::string& path)
            (name.starts_with("cell-") && name.ends_with(".rr"));
 }
 
-/** Fork + exec one child run, stdout+stderr appended to @p logPath. */
+/** Fork + exec one `--run-sweep` child, stdout+stderr appended to
+ *  @p logPath. */
 LaunchResult
-launchChild(const char* self, const char* mode, const std::string& plan,
+launchChild(const char* self, const std::string& plan,
             const std::string& point, const std::string& markerDir,
             const std::string& ckptDir, const std::string& traceDir,
             const std::string& logPath)
@@ -289,7 +239,7 @@ launchChild(const char* self, const char* mode, const std::string& plan,
         }
         // A fresh exec, not a fork-continue: the env fault plan must be
         // re-armed by static init exactly as in a real process launch.
-        ::execl(self, self, mode, static_cast<char*>(nullptr));
+        ::execl(self, self, "--run-sweep", static_cast<char*>(nullptr));
         std::fprintf(stderr, "execl('%s') failed\n", self);
         ::_exit(127);
     }
@@ -331,31 +281,23 @@ runDriver(const char* self)
     std::string warmTraces = scratch + "/traces";
     fs::create_directories(warmTraces);
 
-    // Fault-free baselines, one per child kind. The sweep baseline also
-    // warms the shared trace cache.
-    uint64_t baseFp[2] = { 0, 0 };
-    const char* modes[2] = { "--run-sweep", "--run-fleet" };
-    for (int k = 0; k < 2; ++k) {
-        std::string dir = scratch + std::string("/base") + modes[k][6];
-        fs::create_directories(dir);
-        LaunchResult r =
-            launchChild(self, modes[k], "", "", dir + "/markers", dir,
-                        warmTraces, dir + "/log.txt");
-        if (r.exitCode != 0 || !r.haveFingerprint) {
-            fatal(std::string("fault-free baseline run (") + modes[k] +
-                  ") failed; see " + dir + "/log.txt");
-        }
-        baseFp[k] = r.fingerprint;
-        std::printf("baseline %-12s fingerprint %016llx\n", modes[k] + 2,
-                    static_cast<unsigned long long>(baseFp[k]));
+    // Fault-free baseline; it also warms the shared trace cache.
+    const std::string baseDir = scratch + "/base";
+    fs::create_directories(baseDir);
+    LaunchResult base =
+        launchChild(self, "", "", baseDir + "/markers", baseDir, warmTraces,
+                    baseDir + "/log.txt");
+    if (base.exitCode != 0 || !base.haveFingerprint) {
+        fatal("fault-free baseline run failed; see " + baseDir +
+              "/log.txt");
     }
+    const uint64_t want = base.fingerprint;
+    std::printf("baseline fingerprint %016llx\n",
+                static_cast<unsigned long long>(want));
 
     size_t pass = 0, fail = 0;
     std::vector<std::string> failures;
     for (const FaultPointInfo& p : faultPointTable()) {
-        bool fleetPoint = std::strncmp(p.name, "fleet.", 6) == 0;
-        const char* mode = fleetPoint ? "--run-fleet" : "--run-sweep";
-        uint64_t want = baseFp[fleetPoint ? 1 : 0];
         for (const std::string& action : actionsFor(p.kind)) {
             std::string plan = std::string(p.name) + ":" + action + "@1";
             if (action == "skew")
@@ -383,7 +325,7 @@ runDriver(const char* self)
             std::string target;
             for (unsigned launch = 0; launch < kLaunchesPerRun; ++launch) {
                 LaunchResult r = launchChild(
-                    self, mode, plan, p.name, markerDir, ckptDir, traceDir,
+                    self, plan, p.name, markerDir, ckptDir, traceDir,
                     runDir + "/log.txt");
                 target = r.injectedInto;
                 if (r.exitCode == kFaultCrashExitCode) {
@@ -458,12 +400,8 @@ main(int argc, char** argv)
     }
     if (argc > 1 && std::strcmp(argv[1], "--run-sweep") == 0)
         return runSweepChild();
-    if (argc > 1 && std::strcmp(argv[1], "--run-fleet") == 0)
-        return runFleetChild();
     if (argc > 1) {
-        std::fprintf(stderr,
-                     "usage: %s [--list | --run-sweep | --run-fleet]\n",
-                     argv[0]);
+        std::fprintf(stderr, "usage: %s [--list | --run-sweep]\n", argv[0]);
         return 2;
     }
     return runDriver(selfPath(argv[0]).c_str());

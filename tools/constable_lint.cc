@@ -29,10 +29,12 @@
  *                  `// lint:ordered <why>`.
  *   layering       the include DAG of src/ is layered:
  *                      common < isa < {core,mem,power,predictor,trace,vp}
- *                             < {inspector,workloads} < cpu < sim < serve
+ *                             < {inspector,workloads} < cpu < sample < sim
  *                  and an include may only reach its own layer or below
- *                  (so cpu/ can never include sim/ or serve/). New src/
- *                  directories must be added to the table here.
+ *                  (so cpu/ can never include sim/). New src/ directories
+ *                  must be added to the table here. sim/sample.{hh,cc}
+ *                  form their own "sample" node between cpu and the rest
+ *                  of sim.
  *                  common/obs.{hh,cc} form their own "obs" node at the isa
  *                  layer despite living in src/common: obs may include
  *                  common, but common must never include obs (faultio
@@ -49,8 +51,8 @@
  *                  no private writer regrows. std::filesystem:: spellings
  *                  (fs::rename etc.) are exempt; justified raw sites
  *                  (lease creation, mmap) carry `// lint:rawio <why>`.
- *   raw-log        direct fprintf(stderr, ...) is banned in src/sim,
- *                  src/trace and src/serve: diagnostics must route through
+ *   raw-log        direct fprintf(stderr, ...) is banned in src/sim and
+ *                  src/trace: diagnostics must route through
  *                  warn()/inform()/warnOnce() (common/logging.hh) so
  *                  CONSTABLE_LOG_LEVEL can gate them and dedup applies.
  *                  Justified sites carry `// lint:rawlog <why>`.
@@ -254,7 +256,6 @@ layerTable()
         { "cpu", 4 },
         { "sample", 5 },
         { "sim", 6 },
-        { "serve", 7 },
     };
     return layers;
 }
@@ -348,7 +349,7 @@ checkLayering(const SourceFile& sf, std::vector<Violation>& out)
                             "); dependencies flow strictly downward "
                             "(common < isa < core/mem/power/predictor/"
                             "trace/vp < inspector/workloads < cpu < "
-                            "sample < sim < serve)" });
+                            "sample < sim)" });
         }
     }
 }
@@ -480,9 +481,7 @@ checkRawIo(const SourceFile& sf, std::vector<Violation>& out)
 void
 checkRawLog(const SourceFile& sf, std::vector<Violation>& out)
 {
-    bool inScope = sf.relDir == "src/sim" || sf.relDir == "src/trace" ||
-                   sf.relDir == "src/serve";
-    if (!inScope)
+    if (sf.relDir != "src/sim" && sf.relDir != "src/trace")
         return;
     for (size_t l = 0; l < sf.code.size(); ++l) {
         const std::string& cl = sf.code[l];
@@ -500,7 +499,7 @@ checkRawLog(const SourceFile& sf, std::vector<Violation>& out)
             continue;
         out.push_back({ sf.path, l + 1, "raw-log",
                         "direct fprintf(stderr, ...) is banned in "
-                        "sim/trace/serve: route diagnostics through "
+                        "sim/trace: route diagnostics through "
                         "warn()/inform()/warnOnce() (common/logging.hh) so "
                         "CONSTABLE_LOG_LEVEL gates them (justify "
                         "exceptions with // lint:rawlog <why>)" });
