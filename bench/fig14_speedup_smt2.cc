@@ -39,8 +39,9 @@ main(int argc, char** argv)
     if (!opts.printsReport())
         return 0;
 
-    std::printf("Fig 14: SMT2 speedup over baseline, 45 pairs "
-                "(paper: EVES 1.036, Constable 1.088, E+C 1.113)\n");
+    std::printf("Fig 14: SMT2 speedup over baseline, %zu pairs "
+                "(paper: EVES 1.036, Constable 1.088, E+C 1.113)\n",
+                res.numRows());
     std::printf("%-14s%12s\n", "config", "GEOMEAN");
     std::printf("%-14s%12.4f\n", "EVES",
                 geomean(res.speedups("eves", "baseline")));

@@ -9,11 +9,12 @@
  *                              instructions (ordered-list walks, heap
  *                              property probes).
  *
- * Both compile out in Release (NDEBUG) builds so the perf-regression gate
- * keeps measuring the real simulator; sanitizer CI builds are Debug and run
- * every check. -DCONSTABLE_FORCE_CHECKS re-enables them in any build type.
- * A failed check abort()s (so sanitizers and core dumps capture the state)
- * after printing file:line, the expression, and the message.
+ * Both compile out in Release (NDEBUG) builds, the only builds perfbench
+ * times, so it measures the real simulator; sanitizer CI builds are Debug
+ * and run every check. -DCONSTABLE_FORCE_CHECKS re-enables them in any
+ * build type. A failed check abort()s (so sanitizers and core dumps
+ * capture the state) after printing file:line, the expression, and the
+ * message.
  */
 
 #ifndef CONSTABLE_COMMON_CHECK_HH

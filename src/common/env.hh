@@ -98,17 +98,16 @@ tryParseDouble(const std::string& value)
 }
 
 /**
- * The number after `"key":` in flat JSON this program wrote itself
- * (status.json, perf recordings), searching from @p pos; nullopt when the
- * key is missing or its value is not one tryParseDouble number. Not a
- * JSON reader: no nesting, escapes or whitespace before the ':'.
+ * The number after the first `"key":` in flat JSON this program wrote
+ * itself (status.json); nullopt when the key is missing or its value is
+ * not one tryParseDouble number. Not a JSON reader: no nesting, escapes or
+ * whitespace before the ':'.
  */
 inline std::optional<double>
-flatJsonNumber(const std::string& json, const std::string& key,
-               size_t pos = 0)
+flatJsonNumber(const std::string& json, const std::string& key)
 {
     std::string needle = "\"" + key + "\":";
-    size_t at = json.find(needle, pos);
+    size_t at = json.find(needle);
     if (at == std::string::npos)
         return std::nullopt;
     at += needle.size();

@@ -53,7 +53,6 @@ struct Registry
 {
     std::mutex mu;
     std::map<std::string, std::unique_ptr<ObsCounter>> counters;
-    std::map<std::string, std::unique_ptr<ObsGauge>> gauges;
     std::map<std::string, std::unique_ptr<ObsHistogram>> histograms;
     /** Thread lanes in registration order, then synthetic lanes; lanes
      *  are never destroyed (thread_local pointers outlive their thread's
@@ -428,11 +427,9 @@ obsReset()
     setFaultRetryObserver(nullptr);
     Registry& r = reg();
     std::lock_guard<std::mutex> lk(r.mu);
-    // Counter/gauge/histogram objects must survive (call sites hold
-    // static references), so values reset in place.
+    // Counter and histogram objects must survive (call sites hold static
+    // references), so values reset in place.
     for (auto& kv : r.counters)
-        kv.second->reset();
-    for (auto& kv : r.gauges)
         kv.second->reset();
     for (auto& kv : r.histograms)
         kv.second->reset();
@@ -452,17 +449,6 @@ obsCounter(const std::string& name)
     auto& slot = r.counters[name];
     if (!slot)
         slot = std::make_unique<ObsCounter>();
-    return *slot;
-}
-
-ObsGauge&
-obsGauge(const std::string& name)
-{
-    Registry& r = reg();
-    std::lock_guard<std::mutex> lk(r.mu);
-    auto& slot = r.gauges[name];
-    if (!slot)
-        slot = std::make_unique<ObsGauge>();
     return *slot;
 }
 
@@ -545,14 +531,6 @@ obsWriteMetrics(const std::string& path)
                    "\": " + std::to_string(c->value());
             first = false;
         }
-        out += "\n  },\n  \"gauges\": {";
-        first = true;
-        for (const auto& [name, g] : r.gauges) {
-            out += first ? "\n" : ",\n";
-            out += "    \"" + jsonEscape(name) +
-                   "\": " + std::to_string(g->value());
-            first = false;
-        }
         out += "\n  },\n  \"histograms\": {";
         first = true;
         for (const auto& [name, h] : r.histograms) {
@@ -630,10 +608,6 @@ obsSavePartial(const std::string& path, const std::string& lane_override)
             if (c->value() != 0)
                 record("C " + name + " " + std::to_string(c->value()));
         }
-        for (const auto& [name, g] : r.gauges) {
-            if (g->value() != 0)
-                record("G " + name + " " + std::to_string(g->value()));
-        }
         for (const auto& [name, h] : r.histograms) {
             if (h->count() == 0)
                 continue;
@@ -706,11 +680,6 @@ obsMergePartial(const std::string& path)
             if (!parseU64Field(f[2], v))
                 return false;
             staged.push_back([name = f[1], v] { obsCounter(name).merge(v); });
-        } else if (f[0] == "G" && f.size() == 3) {
-            uint64_t v;
-            if (!parseU64Field(f[2], v))
-                return false;
-            staged.push_back([name = f[1], v] { obsGauge(name).merge(v); });
         } else if (f[0] == "H" &&
                    f.size() == 4 + ObsHistogram::kBuckets) {
             // H name count sum b0..b31

@@ -1,18 +1,18 @@
 /**
  * @file
- * Observability tier: a typed metrics registry (counters, gauges,
- * histograms, scoped timers), a per-thread ring-buffer span recorder that
- * emits Chrome trace-event / Perfetto JSON, and live sweep progress with
- * an atomically rewritten status.json. Every file obs writes (status.json,
- * metrics, traces, shard partials) commits through writeFileAtomic
- * (common/faultio.hh), so the atomic.* fault points cover it too.
+ * Observability tier: a typed metrics registry (counters and histograms),
+ * a per-thread ring-buffer span recorder that emits Chrome trace-event /
+ * Perfetto JSON, and live sweep progress with an atomically rewritten
+ * status.json. Every file obs writes (status.json, metrics, traces, shard
+ * partials) commits through writeFileAtomic (common/faultio.hh), so the
+ * atomic.* fault points cover it too.
  *
  * Everything here lives strictly *outside* the simulated state: no obs
  * object ever reaches RunResult or a StatSet, so arming observability can
  * never perturb golden-snapshot fingerprints. The disabled path follows
  * the same discipline as common/faultio: one relaxed atomic load and a
- * predicted branch, so a disarmed build costs nothing measurable (the
- * perf-regression gate runs with obs compiled in and disarmed).
+ * predicted branch, so a disarmed build costs nothing measurable
+ * (perfbench's untraced passes run with obs compiled in and disarmed).
  *
  * Arming happens through --trace-out / --metrics-out (or the
  * CONSTABLE_TRACE_OUT / CONSTABLE_METRICS_OUT env knobs): either output
@@ -95,28 +95,6 @@ class ObsCounter
     std::atomic<uint64_t> v_ { 0 };
 };
 
-/** Last-write-wins gauge. */
-class ObsGauge
-{
-  public:
-    void
-    set(uint64_t v)
-    {
-        if (!obsArmed())
-            return;
-        v_.store(v, std::memory_order_relaxed);
-    }
-
-    uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-    void reset() { v_.store(0, std::memory_order_relaxed); }
-
-    /** Ungated last-write-wins set for merging shard partials. */
-    void merge(uint64_t v) { v_.store(v, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<uint64_t> v_ { 0 };
-};
-
 /** Power-of-two bucketed histogram (bucket b holds values in
  *  [2^b, 2^(b+1)), bucket 0 holds 0 and 1). */
 class ObsHistogram
@@ -175,32 +153,7 @@ class ObsHistogram
  *  should cache the reference in a function-local static. Names must be
  *  stable for the process lifetime (string literals). */
 ObsCounter& obsCounter(const std::string& name);
-ObsGauge& obsGauge(const std::string& name);
 ObsHistogram& obsHistogram(const std::string& name);
-
-/** Scoped wall-clock timer: records elapsed microseconds into a histogram
- *  at scope exit. Costs two steady-clock reads when armed, nothing when
- *  disarmed. */
-class ObsTimer
-{
-  public:
-    explicit ObsTimer(ObsHistogram& h)
-        : h_(h), startUs_(obsArmed() ? obsdetail::obsNowUs() : 0)
-    {}
-
-    ~ObsTimer()
-    {
-        if (obsArmed())
-            h_.record(obsdetail::obsNowUs() - startUs_);
-    }
-
-    ObsTimer(const ObsTimer&) = delete;
-    ObsTimer& operator=(const ObsTimer&) = delete;
-
-  private:
-    ObsHistogram& h_;
-    uint64_t startUs_;
-};
 
 /** RAII span: a complete ("ph":"X") slice on the calling thread's lane
  *  from construction to destruction. Ring overflow drops the span and
@@ -259,7 +212,7 @@ uint64_t obsSpansDropped();
 /** Total spans currently buffered across all lanes. */
 uint64_t obsSpanCount();
 
-/** Write a metrics snapshot: sorted-key JSON of every counter, gauge and
+/** Write a metrics snapshot: sorted-key JSON of every counter and
  *  histogram, committed through writeFileAtomic (so the atomic.* fault
  *  points cover it). False on I/O failure. */
 bool obsWriteMetrics(const std::string& path);

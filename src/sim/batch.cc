@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
 #include "common/obs.hh"
 
 namespace constable {
@@ -188,17 +187,6 @@ dispatch(size_t n, const BatchOptions& opts,
     }
 }
 
-/** Wrap row-independent configs for the factory-based entry points. */
-std::vector<ConfigFactory>
-toFactories(const std::vector<SystemConfig>& configs)
-{
-    std::vector<ConfigFactory> factories;
-    factories.reserve(configs.size());
-    for (const SystemConfig& c : configs)
-        factories.push_back([c](size_t) { return c; });
-    return factories;
-}
-
 } // namespace
 
 void
@@ -238,64 +226,6 @@ MatrixResult::totalCycles() const
     for (const RunResult& r : results)
         sum += r.cycles;
     return sum;
-}
-
-MatrixResult
-runMatrix(const std::vector<const Trace*>& traces,
-          const std::vector<ConfigFactory>& configs,
-          const std::vector<const std::unordered_set<PC>*>& gs,
-          const BatchOptions& opts)
-{
-    if (!gs.empty() && gs.size() != traces.size())
-        panic("runMatrix: gs must be empty or one entry per trace");
-    MatrixResult m;
-    m.numRows = traces.size();
-    m.numConfigs = configs.size();
-    m.results.resize(m.numRows * m.numConfigs);
-    forEachJob(m.results.size(), [&](size_t job, Rng&) {
-        size_t row = job / m.numConfigs;
-        size_t cfgIdx = job % m.numConfigs;
-        SystemConfig cfg = configs[cfgIdx](row);
-        const std::unordered_set<PC>* g = gs.empty() ? nullptr : gs[row];
-        m.results[job] = runTrace(*traces[row], cfg, g);
-    }, opts);
-    return m;
-}
-
-MatrixResult
-runMatrix(const std::vector<const Trace*>& traces,
-          const std::vector<SystemConfig>& configs,
-          const std::vector<const std::unordered_set<PC>*>& gs,
-          const BatchOptions& opts)
-{
-    return runMatrix(traces, toFactories(configs), gs, opts);
-}
-
-MatrixResult
-runSmtMatrix(const std::vector<std::pair<const Trace*, const Trace*>>& pairs,
-             const std::vector<ConfigFactory>& configs,
-             const BatchOptions& opts)
-{
-    MatrixResult m;
-    m.numRows = pairs.size();
-    m.numConfigs = configs.size();
-    m.results.resize(m.numRows * m.numConfigs);
-    forEachJob(m.results.size(), [&](size_t job, Rng&) {
-        size_t row = job / m.numConfigs;
-        size_t cfgIdx = job % m.numConfigs;
-        SystemConfig cfg = configs[cfgIdx](row);
-        m.results[job] =
-            runSmtPair(*pairs[row].first, *pairs[row].second, cfg);
-    }, opts);
-    return m;
-}
-
-MatrixResult
-runSmtMatrix(const std::vector<std::pair<const Trace*, const Trace*>>& pairs,
-             const std::vector<SystemConfig>& configs,
-             const BatchOptions& opts)
-{
-    return runSmtMatrix(pairs, toFactories(configs), opts);
 }
 
 } // namespace constable

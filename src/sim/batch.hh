@@ -1,10 +1,11 @@
 /**
  * @file
- * Batch experiment runner: a work-stealing thread pool plus a deterministic
- * {trace x SystemConfig} matrix driver. Results are written into
- * pre-allocated row-major slots and aggregated in index order, so the
- * figures a bench prints are bit-identical whether the matrix ran on one
- * thread or sixteen, and independent of job completion order. Each job also
+ * Batch execution: a work-stealing thread pool, forEachJob() with per-job
+ * RNG streams, and the {row x config} MatrixResult grid that Experiment
+ * (sim/experiment.hh) fills. Results are written into pre-allocated
+ * row-major slots and aggregated in index order, so the figures a bench
+ * prints are bit-identical whether the matrix ran on one thread or
+ * sixteen, and independent of job completion order. Each job also
  * receives a private RNG stream derived from (master seed, job index) via
  * splitmix64 so randomized sweeps stay reproducible under stealing.
  */
@@ -19,7 +20,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -138,36 +138,6 @@ struct MatrixResult
 /** Builds the SystemConfig for one matrix cell; may depend on the row
  *  (e.g. ideal-oracle presets seeded with per-workload stable-PC sets). */
 using ConfigFactory = std::function<SystemConfig(size_t row)>;
-
-/**
- * Fan a {trace x config} matrix out across the pool. gs is optional
- * per-row stats-classification PC sets (empty, or one entry per trace,
- * null entries allowed).
- */
-MatrixResult runMatrix(const std::vector<const Trace*>& traces,
-                       const std::vector<ConfigFactory>& configs,
-                       const std::vector<const std::unordered_set<PC>*>& gs =
-                           {},
-                       const BatchOptions& opts = {});
-
-/** Convenience overload for row-independent configurations. */
-MatrixResult runMatrix(const std::vector<const Trace*>& traces,
-                       const std::vector<SystemConfig>& configs,
-                       const std::vector<const std::unordered_set<PC>*>& gs =
-                           {},
-                       const BatchOptions& opts = {});
-
-/** SMT2 variant: each row is a co-running trace pair (Figs 14/15). */
-MatrixResult runSmtMatrix(
-    const std::vector<std::pair<const Trace*, const Trace*>>& pairs,
-    const std::vector<ConfigFactory>& configs,
-    const BatchOptions& opts = {});
-
-/** Convenience overload for row-independent SMT configurations. */
-MatrixResult runSmtMatrix(
-    const std::vector<std::pair<const Trace*, const Trace*>>& pairs,
-    const std::vector<SystemConfig>& configs,
-    const BatchOptions& opts = {});
 
 } // namespace constable
 

@@ -129,6 +129,21 @@ printUsage(const char* prog, int exit_code)
     std::exit(exit_code);
 }
 
+/** The category reporters group a series by the suite's traces, so it
+ *  must hold one value per trace. An SMT result has one row per trace
+ *  pair and does not. */
+void
+requireOnePerTrace(const std::string& header, size_t values, size_t traces)
+{
+    if (values != traces) {
+        fatal("report '" + header + "': a series has " +
+              std::to_string(values) + " values for " +
+              std::to_string(traces) +
+              " traces (SMT rows are trace pairs; report them as overall "
+              "geomeans)");
+    }
+}
+
 } // namespace
 
 // -------------------------------------------------------- ExperimentOptions
@@ -490,6 +505,8 @@ Suite::printGeomeans(const std::string& header,
                      const std::vector<std::vector<double>>& series,
                      const std::vector<std::string>& series_names) const
 {
+    for (const auto& values : series)
+        requireOnePerTrace(header, values.size(), entries_.size());
     std::map<std::string, std::vector<size_t>> byCat;
     for (size_t i = 0; i < entries_.size(); ++i)
         byCat[entries_[i].spec.category].push_back(i);
@@ -517,6 +534,8 @@ Suite::printMeans(const std::string& header,
                   const std::vector<std::string>& series_names, double scale,
                   const char* unit) const
 {
+    for (const auto& values : series)
+        requireOnePerTrace(header, values.size(), entries_.size());
     std::map<std::string, std::vector<size_t>> byCat;
     for (size_t i = 0; i < entries_.size(); ++i)
         byCat[entries_[i].spec.category].push_back(i);
@@ -542,6 +561,7 @@ void
 Suite::printBoxWhisker(const std::string& header,
                        const std::vector<double>& samples) const
 {
+    requireOnePerTrace(header, samples.size(), entries_.size());
     std::map<std::string, std::vector<double>> byCat;
     for (size_t i = 0; i < entries_.size(); ++i)
         byCat[entries_[i].spec.category].push_back(samples[i]);
@@ -699,6 +719,11 @@ Experiment::runCells(size_t rows, bool smt)
 {
     if (factories_.empty())
         fatal("experiment '" + name_ + "' has no configurations");
+    if (rows == 0) {
+        fatal("experiment '" + name_ + "' has no rows" +
+              (smt ? ": an SMT sweep needs at least 2 traces"
+                   : ": the suite is empty"));
+    }
 
     MatrixResult m;
     m.numRows = rows;

@@ -556,7 +556,7 @@ TEST(OptionsDeathTest, UnknownFlagIsFatal)
 
 // ------------------------------------------------------------- facade shape
 
-TEST(Experiment, MatchesDirectRunMatrixBitExactly)
+TEST(Experiment, MatchesDirectRunTraceBitExactly)
 {
     ExperimentOptions opts = serialOpts();
     Suite suite = Suite::fromSpecs(twoSpecs(), opts);
@@ -570,8 +570,15 @@ TEST(Experiment, MatchesDirectRunMatrixBitExactly)
         { CoreConfig{}, mechFor("baseline") },
         { CoreConfig{}, mechFor("constable") },
     };
-    MatrixResult direct =
-        runMatrix(suite.tracePtrs(), configs, suite.gsPtrs(), opts.batch());
+    MatrixResult direct;
+    direct.numRows = suite.size();
+    direct.numConfigs = configs.size();
+    for (size_t row = 0; row < suite.size(); ++row) {
+        for (const SystemConfig& cfg : configs) {
+            direct.results.push_back(
+                runTrace(suite.trace(row), cfg, &suite.globalStablePcs(row)));
+        }
+    }
 
     ASSERT_EQ(res.matrix().results.size(), direct.results.size());
     EXPECT_EQ(res.totalCycles(), direct.totalCycles());
@@ -594,6 +601,46 @@ TEST(ExperimentDeathTest, UnknownConfigNameIsFatal)
                    .run();
     EXPECT_EXIT(res.at(0, "typo"), ::testing::ExitedWithCode(1),
                 "no configuration named");
+}
+
+TEST(ExperimentDeathTest, SmtSweepOfOneTraceIsFatal)
+{
+    // One trace makes no co-run pair, so the SMT matrix has no rows.
+    ExperimentOptions opts = serialOpts();
+    auto specs = twoSpecs();
+    specs.resize(1);
+    Suite suite = Suite::fromSpecs(specs, opts, /*inspect=*/false);
+    Experiment exp("smt-one", suite, opts);
+    exp.add("baseline", mechFor("baseline"));
+    EXPECT_EXIT(exp.runSmt(), ::testing::ExitedWithCode(1),
+                "'smt-one' has no rows: an SMT sweep needs at least 2 "
+                "traces");
+}
+
+TEST(ExperimentDeathTest, ReportersNeedOneValuePerTrace)
+{
+    // Four traces make two SMT pairs: a speedup series over the pairs is
+    // not a per-trace series, and the category reporters must say so
+    // rather than read past its end.
+    ExperimentOptions opts = serialOpts();
+    auto specs = smokeSuite(1500);
+    specs.resize(4);
+    Suite suite = Suite::fromSpecs(specs, opts, /*inspect=*/false);
+    auto res = Experiment("smt-four", suite, opts)
+                   .add("baseline", mechFor("baseline"))
+                   .add("constable", mechFor("constable"))
+                   .runSmt();
+    std::vector<double> perPair = res.speedups("constable", "baseline");
+    ASSERT_EQ(perPair.size(), 2u);
+    EXPECT_EXIT(res.printGeomeans("smt", { perPair }, { "constable" }),
+                ::testing::ExitedWithCode(1),
+                "a series has 2 values for 4 traces");
+    EXPECT_EXIT(res.printMeans("smt", { perPair }, { "constable" }),
+                ::testing::ExitedWithCode(1),
+                "a series has 2 values for 4 traces");
+    EXPECT_EXIT(res.printBoxWhisker("smt", perPair),
+                ::testing::ExitedWithCode(1),
+                "a series has 2 values for 4 traces");
 }
 
 TEST(Suite, FromTracesSupportsHandBuiltWorkloads)

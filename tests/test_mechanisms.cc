@@ -224,6 +224,31 @@ TEST(ScenarioDeathTest, MalformedFilesAreFatalNotSilent)
                 ::testing::ExitedWithCode(1), "cannot read scenario file");
 }
 
+TEST(Scenario, SmtScenarioPrintsOverallGeomeansOnly)
+{
+    // SMT rows are trace pairs, not suite traces: the report is one
+    // overall geomean per mechanism, with no per-category column.
+    Scenario sc = parseScenarioText("name smt-four\n"
+                                    "mech baseline,constable\n"
+                                    "smt on\n"
+                                    "suite-limit 4\n"
+                                    "trace-ops 1000\n",
+                                    "test");
+    ExperimentOptions opts;
+    opts.threads = 1;
+    ::testing::internal::CaptureStdout();
+    runScenario(sc, opts);
+    std::string out = ::testing::internal::GetCapturedStdout();
+    EXPECT_NE(out.find("speedup over baseline (SMT2, 2 pairs)"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("GEOMEAN"), std::string::npos) << out;
+    EXPECT_NE(out.find("\nconstable "), std::string::npos) << out;
+    EXPECT_NE(out.find("result fingerprint: "), std::string::npos) << out;
+    // The first four paper-suite traces are all Client workloads.
+    EXPECT_EQ(out.find("Client"), std::string::npos) << out;
+}
+
 // ------------------------------------------------------- options plumbing
 
 TEST(MechOptions, FlagAndEnvSelectRegistryPresets)

@@ -337,8 +337,9 @@ TEST_F(ShardTest, CorruptCellsAreRegeneratedAndStaleTmpFilesSwept)
  * The subsystem's reason to exist: N workers must genuinely overlap. Cells
  * that sleep (rather than burn CPU) make the measurement independent of
  * how many cores this machine has, so the >= 2.5x-at-4-shards floor holds
- * even on a 1-CPU CI container; perf_regression --shard-scaling records
- * the CPU-bound counterpart (which needs >= 4 real cores to hit 2.5x).
+ * even on a 1-CPU CI container. perfbench's sampled_long workload
+ * measures the CPU-bound counterpart (sim.shard.busy_frac over 2 forked
+ * workers).
  */
 TEST_F(ShardTest, FourShardsOverlapForAtLeast2point5x)
 {
@@ -731,7 +732,7 @@ TEST_F(ShardTest, ShardIdBeyondShardCountIsFatal)
     o.shardId = 2;
     EXPECT_EXIT(o.shard(), ::testing::ExitedWithCode(1), "out of range");
 
-    // A shard count set directly (perf_regression --shard-scaling) must
+    // A shard count set directly (as perfbench/passes.cc sets it) must
     // meet the same cap --shards and CONSTABLE_SHARDS enforce.
     o.shards = ShardOptions::kMaxShards + 1;
     o.shardId = -1;

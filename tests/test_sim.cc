@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the sim layer: the work-stealing ThreadPool, determinism of the
- * batch matrix runner across thread counts, and smoke coverage of every
- * mechanism registry preset in sim/mechanisms.hh.
+ * Tests for the sim layer: the work-stealing ThreadPool, determinism of
+ * Experiment's {trace x config} matrix across thread counts, and smoke
+ * coverage of every mechanism registry preset in sim/mechanisms.hh.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 
 #include "inspector/load_inspector.hh"
 #include "sim/batch.hh"
+#include "sim/experiment.hh"
 #include "sim/mechanisms.hh"
 #include "sim/runner.hh"
 #include "trace/generator.hh"
@@ -97,7 +98,8 @@ TEST(ForEachJob, SeedChangesStreams)
 
 // ------------------------------------------------------- matrix determinism
 
-/** Small two-trace fixture shared by the matrix tests. */
+/** Four small traces shared by the matrix tests, each swept through
+ *  Experiment at a chosen thread count. */
 class MatrixDeterminism : public ::testing::Test
 {
   protected:
@@ -105,96 +107,103 @@ class MatrixDeterminism : public ::testing::Test
     SetUp() override
     {
         auto specs = smokeSuite(1500);
-        specs.resize(2);
+        specs.resize(4);
         for (const auto& spec : specs)
             traces.push_back(generateTrace(spec));
-        for (const auto& t : traces)
-            tracePtrs.push_back(&t);
+    }
+
+    /** The first @p n traces as a suite. */
+    Suite
+    suiteOf(size_t n, bool inspect) const
+    {
+        return Suite::fromTraces(
+            std::vector<Trace>(traces.begin(), traces.begin() + n),
+            inspect);
+    }
+
+    static ExperimentOptions
+    threadsOpts(unsigned threads)
+    {
+        ExperimentOptions opts;
+        opts.threads = threads;
+        return opts;
     }
 
     std::vector<Trace> traces;
-    std::vector<const Trace*> tracePtrs;
 };
 
 TEST_F(MatrixDeterminism, ParallelMatchesSerialBitExactly)
 {
-    std::vector<SystemConfig> configs = {
-        { CoreConfig{}, mechFor("baseline") },
-        { CoreConfig{}, mechFor("constable") },
-        { CoreConfig{}, mechFor("eves+constable") },
+    Suite suite = suiteOf(2, /*inspect=*/false);
+    auto sweep = [&](unsigned threads) {
+        return Experiment("determinism", suite, threadsOpts(threads))
+            .add("baseline", mechFor("baseline"))
+            .add("constable", mechFor("constable"))
+            .add("eves+constable", mechFor("eves+constable"))
+            .run();
     };
-
-    BatchOptions serial;
-    serial.threads = 1;
-    MatrixResult ref = runMatrix(tracePtrs, configs, {}, serial);
+    ExperimentResult ref = sweep(1);
 
     for (unsigned threads : { 2u, 4u, 8u }) {
-        BatchOptions par;
-        par.threads = threads;
-        MatrixResult got = runMatrix(tracePtrs, configs, {}, par);
-        ASSERT_EQ(got.results.size(), ref.results.size());
-        for (size_t i = 0; i < ref.results.size(); ++i) {
-            EXPECT_EQ(got.results[i].cycles, ref.results[i].cycles)
+        ExperimentResult got = sweep(threads);
+        const MatrixResult& g = got.matrix();
+        const MatrixResult& r = ref.matrix();
+        ASSERT_EQ(g.results.size(), r.results.size());
+        for (size_t i = 0; i < r.results.size(); ++i) {
+            EXPECT_EQ(g.results[i].cycles, r.results[i].cycles)
                 << "cell " << i << " @ " << threads << " threads";
-            EXPECT_EQ(got.results[i].instructions,
-                      ref.results[i].instructions);
+            EXPECT_EQ(g.results[i].instructions, r.results[i].instructions);
         }
         // Aggregate stats merge in index order: the full named-counter map
         // must be bit-identical, not just the headline numbers.
-        EXPECT_EQ(got.aggregateStats().all(), ref.aggregateStats().all())
+        EXPECT_EQ(g.aggregateStats().all(), r.aggregateStats().all())
             << "aggregate stats diverge @ " << threads << " threads";
-        EXPECT_EQ(got.totalCycles(), ref.totalCycles());
+        EXPECT_EQ(g.totalCycles(), r.totalCycles());
     }
 }
 
 TEST_F(MatrixDeterminism, SmtMatrixParallelMatchesSerial)
 {
-    std::vector<std::pair<const Trace*, const Trace*>> pairs = {
-        { &traces[0], &traces[1] },
-        { &traces[1], &traces[0] },
+    // Four traces give two co-run pairs: (0, 2) and (1, 3).
+    Suite suite = suiteOf(4, /*inspect=*/false);
+    auto sweep = [&](unsigned threads) {
+        return Experiment("smt-determinism", suite, threadsOpts(threads))
+            .add("baseline", mechFor("baseline"))
+            .add("constable", mechFor("constable"))
+            .runSmt();
     };
-    std::vector<SystemConfig> configs = {
-        { CoreConfig{}, mechFor("baseline") },
-        { CoreConfig{}, mechFor("constable") },
-    };
-
-    BatchOptions serial;
-    serial.threads = 1;
-    MatrixResult ref = runSmtMatrix(pairs, configs, serial);
-
-    BatchOptions par;
-    par.threads = 4;
-    MatrixResult got = runSmtMatrix(pairs, configs, par);
-    ASSERT_EQ(got.results.size(), ref.results.size());
-    for (size_t i = 0; i < ref.results.size(); ++i)
-        EXPECT_EQ(got.results[i].cycles, ref.results[i].cycles);
-    EXPECT_EQ(got.aggregateStats().all(), ref.aggregateStats().all());
+    ExperimentResult ref = sweep(1);
+    ExperimentResult got = sweep(4);
+    ASSERT_EQ(ref.numRows(), 2u);
+    ASSERT_EQ(got.matrix().results.size(), ref.matrix().results.size());
+    for (size_t i = 0; i < ref.matrix().results.size(); ++i)
+        EXPECT_EQ(got.matrix().results[i].cycles,
+                  ref.matrix().results[i].cycles);
+    EXPECT_EQ(got.matrix().aggregateStats().all(),
+              ref.matrix().aggregateStats().all());
 }
 
 TEST_F(MatrixDeterminism, RowDependentConfigsAndGsSets)
 {
-    std::vector<std::unordered_set<PC>> gsSets;
-    for (const Trace& t : traces)
-        gsSets.push_back(inspectLoads(t).globalStablePcs());
-    std::vector<const std::unordered_set<PC>*> gs;
-    for (const auto& s : gsSets)
-        gs.push_back(&s);
-
-    std::vector<ConfigFactory> configs = {
-        [](size_t) { return SystemConfig { CoreConfig{}, mechFor("baseline") }; },
-        [&](size_t row) {
-            return SystemConfig { CoreConfig{},
-                                  mechFor("eves+ideal-constable", &gsSets[row]) };
-        },
+    // An inspected suite attaches each row's global-stable set to its
+    // cells, and the oracle column is built per row from the same sets.
+    Suite suite = suiteOf(2, /*inspect=*/true);
+    auto sweep = [&](unsigned threads) {
+        return Experiment("row-dependent", suite, threadsOpts(threads))
+            .add("baseline", mechFor("baseline"))
+            .add("eves+ideal-constable",
+                 [&](size_t row) {
+                     return SystemConfig {
+                         CoreConfig{},
+                         mechFor("eves+ideal-constable",
+                                 &suite.globalStablePcs(row)) };
+                 })
+            .run();
     };
-
-    BatchOptions serial;
-    serial.threads = 1;
-    MatrixResult ref = runMatrix(tracePtrs, configs, gs, serial);
-    BatchOptions par;
-    par.threads = 4;
-    MatrixResult got = runMatrix(tracePtrs, configs, gs, par);
-    EXPECT_EQ(got.aggregateStats().all(), ref.aggregateStats().all());
+    ExperimentResult ref = sweep(1);
+    ExperimentResult got = sweep(4);
+    EXPECT_EQ(got.matrix().aggregateStats().all(),
+              ref.matrix().aggregateStats().all());
     // The oracle must not lose to the baseline on its own stable set.
     EXPECT_GE(speedup(ref.at(0, 1), ref.at(0, 0)), 0.9);
 }
@@ -203,14 +212,16 @@ TEST(Matrix, SpeedupsOverShape)
 {
     auto specs = smokeSuite(1000);
     specs.resize(1);
-    Trace t = generateTrace(specs[0]);
-    std::vector<SystemConfig> configs = {
-        { CoreConfig{}, mechFor("baseline") },
-        { CoreConfig{}, mechFor("constable") },
-    };
-    BatchOptions opts;
+    std::vector<Trace> traces;
+    traces.push_back(generateTrace(specs[0]));
+    Suite suite = Suite::fromTraces(std::move(traces), /*inspect=*/false);
+    ExperimentOptions opts;
     opts.threads = 1;
-    MatrixResult m = runMatrix({ &t }, configs, {}, opts);
+    ExperimentResult res = Experiment("shape", suite, opts)
+                               .add("baseline", mechFor("baseline"))
+                               .add("constable", mechFor("constable"))
+                               .run();
+    const MatrixResult& m = res.matrix();
     EXPECT_EQ(m.numRows, 1u);
     EXPECT_EQ(m.numConfigs, 2u);
     auto s = m.speedupsOver(1, 0);
