@@ -11,7 +11,7 @@
  *
  * Pure offline study: both register-width variants go through
  * Suite::fromSpecs, which generates (or cache-loads) and inspects every
- * trace on the batch pool.
+ * trace in parallel through forEachJob.
  */
 
 #include <cstdio>

@@ -66,9 +66,8 @@ struct Registry
     uint64_t threadLaneCount = 0;
 };
 
-/** Never destroyed: a pool worker can still be registering its lane, and
- *  the atexit writers still read the registry, after static destructors
- *  run at exit. */
+/** Never destroyed: the atexit writers read the registry after static
+ *  destructors run at exit. */
 Registry&
 reg()
 {
@@ -82,14 +81,16 @@ internString(Registry& r, const std::string& s)
     return r.intern.insert(s).first->c_str();
 }
 
+/** The calling thread's lane, once registered or named. */
+thread_local Lane* tlsLane = nullptr;
+
 Lane&
 laneForThisThread()
 {
     // Registration is once per thread; afterwards the pointer is reused.
     // All mutation of a lane's spans happens under reg().mu (spans are
     // coarse — cells, cache preps, backoffs — so the lock is cold).
-    thread_local Lane* tl = nullptr;
-    if (!tl) {
+    if (!tlsLane) {
         Registry& r = reg();
         std::lock_guard<std::mutex> lk(r.mu);
         auto lane = std::make_unique<Lane>();
@@ -98,10 +99,10 @@ laneForThisThread()
                          : "thread-" + std::to_string(r.threadLaneCount);
         ++r.threadLaneCount;
         lane->spans.reserve(kRingCap);
-        tl = lane.get();
+        tlsLane = lane.get();
         r.lanes.push_back(std::move(lane));
     }
-    return *tl;
+    return *tlsLane;
 }
 
 Lane&
@@ -466,10 +467,12 @@ obsHistogram(const std::string& name)
 void
 obsSetThreadLane(const std::string& lane)
 {
-    Lane& l = laneForThisThread();
     Registry& r = reg();
     std::lock_guard<std::mutex> lk(r.mu);
-    l.name = lane;
+    if (tlsLane)
+        tlsLane->name = lane;
+    else
+        tlsLane = &namedLaneLocked(r, lane);
 }
 
 void

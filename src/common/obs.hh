@@ -186,8 +186,10 @@ class ObsSpan
     bool armed_;
 };
 
-/** Name the calling thread's trace lane ("pool-3", "shard-1", ...). The
- *  first thread to record anything without naming itself is "main". */
+/** Name the calling thread's trace lane ("pool-3", "shard-1", ...). A
+ *  thread without a lane yet joins an existing lane of that name, so
+ *  threads that take turns at one role share one lane. The first thread
+ *  to record anything without naming itself is "main". */
 void obsSetThreadLane(const std::string& lane);
 
 /** Append a span with explicit timing to a named (possibly synthetic)

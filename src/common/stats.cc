@@ -127,11 +127,4 @@ Histogram::bucketLabel(size_t i) const
     return buf;
 }
 
-void
-StatSet::merge(const StatSet& other)
-{
-    for (const auto& [k, v] : other.vals)
-        vals[k] += v;
-}
-
 } // namespace constable

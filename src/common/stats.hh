@@ -120,9 +120,6 @@ class StatSet
 
     const std::map<std::string, double>& all() const { return vals; }
 
-    /** Merge another set by summation (SMT thread aggregation). */
-    void merge(const StatSet& other);
-
   private:
     std::map<std::string, double> vals;
 };

@@ -12,7 +12,7 @@ regName(uint8_t r)
     if (r < 16)
         return names16[r];
     if (r < kMaxArchRegs)
-        return "r" + std::to_string(static_cast<int>(r));
+        return std::string("r").append(std::to_string(static_cast<int>(r)));
     if (r == kNoReg)
         return "<none>";
     return "<bad:" + std::to_string(static_cast<int>(r)) + ">";

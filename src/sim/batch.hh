@@ -1,26 +1,21 @@
 /**
  * @file
- * Batch execution: a work-stealing thread pool, forEachJob() with per-job
- * RNG streams, and the {row x config} MatrixResult grid that Experiment
- * (sim/experiment.hh) fills. Results are written into pre-allocated
- * row-major slots and aggregated in index order, so the figures a bench
- * prints are bit-identical whether the matrix ran on one thread or
- * sixteen, and independent of job completion order. Each job also
- * receives a private RNG stream derived from (master seed, job index) via
- * splitmix64 so randomized sweeps stay reproducible under stealing.
+ * Batch execution: forEachJob() with per-job RNG streams, and the
+ * {row x config} MatrixResult grid that Experiment (sim/experiment.hh)
+ * fills. forEachJob starts its worker threads per call and joins them
+ * before it returns; the workers and the caller take job indices from one
+ * shared counter. Results are written into pre-allocated row-major slots,
+ * so the figures a bench prints are bit-identical whether the matrix ran
+ * on one thread or sixteen, and independent of job completion order. Each
+ * job also receives a private RNG stream derived from (master seed, job
+ * index) via splitmix64 so randomized sweeps stay reproducible under any
+ * schedule.
  */
 
 #ifndef CONSTABLE_SIM_BATCH_HH
 #define CONSTABLE_SIM_BATCH_HH
 
-#include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -28,80 +23,31 @@
 
 namespace constable {
 
-/**
- * Work-stealing thread pool. Chunks of the iteration space are dealt
- * round-robin to per-worker deques; owners pop from the back (LIFO, cache
- * friendly) while idle workers steal from the front (FIFO, oldest chunk).
- * The calling thread participates as worker 0, so a pool built on a
- * single-core host still makes progress with zero background threads.
- */
-class ThreadPool
-{
-  public:
-    /** Safety cap on explicit concurrency requests (a mistyped
-     *  CONSTABLE_THREADS must not try to spawn 100000 OS threads). */
-    static constexpr unsigned kMaxConcurrency = 256;
-
-    /** @param concurrency total worker count including the caller, clamped
-     *         to kMaxConcurrency; 0 means hardware_concurrency clamped to
-     *         [1, 16]. */
-    explicit ThreadPool(unsigned concurrency = 0);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool&) = delete;
-    ThreadPool& operator=(const ThreadPool&) = delete;
-
-    unsigned numWorkers() const { return concurrency_; }
-
-    /**
-     * Run fn(i) for i in [0, n), blocking until every index completed.
-     * Concurrent run() calls from distinct threads serialize; a nested call
-     * from inside a pool job executes inline to avoid deadlock.
-     */
-    void run(size_t n, const std::function<void(size_t)>& fn);
-
-    /** Process-wide shared pool (lazily built at hardware concurrency). */
-    static ThreadPool& global();
-
-  private:
-    struct Shard
-    {
-        std::mutex mu;
-        std::deque<std::pair<size_t, size_t>> chunks; ///< [begin, end) ranges
-    };
-
-    void workerLoop(unsigned id);
-    bool grabWork(unsigned id, std::pair<size_t, size_t>& out);
-    void drain(unsigned id, const std::function<void(size_t)>& fn);
-
-    unsigned concurrency_ = 1;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::vector<std::thread> threads_;
-
-    std::mutex runMu_;  ///< one batch in flight at a time
-    std::mutex mu_;     ///< guards batch hand-off state below
-    std::condition_variable cvStart_;
-    std::condition_variable cvDone_;
-    const std::function<void(size_t)>* fn_ = nullptr;
-    uint64_t batchId_ = 0;
-    std::atomic<size_t> pending_ { 0 };
-    unsigned active_ = 0; ///< workers currently inside drain() (guarded by mu_)
-    bool shutdown_ = false;
-};
-
 /** Knobs shared by every batch entry point. */
 struct BatchOptions
 {
-    /** Total threads; 0 = global pool at hardware concurrency, 1 = serial. */
+    /** Cap on explicit thread counts (a mistyped CONSTABLE_THREADS must
+     *  not try to spawn 100000 OS threads; larger values are fatal). */
+    static constexpr unsigned kMaxThreads = 256;
+
+    /** Total threads, the caller included; 0 = the hardware thread count
+     *  clamped to [1, 16], 1 = serial. */
     unsigned threads = 0;
     /** Master seed for the per-job RNG streams. */
     uint64_t seed = 0x5eed5eedull;
 };
 
+/** The thread count a batch with @p opts resolves to (see threads). */
+unsigned batchThreads(const BatchOptions& opts);
+
 /**
- * Run fn(job, rng) for job in [0, n). The rng argument is seeded from
- * (opts.seed, job) only, never from the executing worker, so results are
- * reproducible for any thread count and any steal pattern.
+ * Run fn(job, rng) for job in [0, n), blocking until every job completed.
+ * Runs serially for one thread, n <= 1, or a call from a parallel call's job;
+ * otherwise min(threads, n) - 1 workers are started, and none outlives the
+ * call. The rng argument is seeded from (opts.seed, job) only, never from
+ * the executing thread, so results are reproducible for any thread count.
+ * Jobs report errors through fatal(): an exception escaping a job on a
+ * worker thread ends the program.
  */
 void forEachJob(size_t n, const std::function<void(size_t, Rng&)>& fn,
                 const BatchOptions& opts = {});
@@ -127,12 +73,6 @@ struct MatrixResult
 
     /** Per-row speedup of config `test` over config `base`. */
     std::vector<double> speedupsOver(size_t test, size_t base) const;
-
-    /** Sum of every cell's stats, merged in index order (deterministic). */
-    StatSet aggregateStats() const;
-
-    /** Total simulated cycles across all cells (determinism fingerprint). */
-    uint64_t totalCycles() const;
 };
 
 /** Builds the SystemConfig for one matrix cell; may depend on the row

@@ -75,7 +75,8 @@ printUsage(const char* prog, int exit_code)
     std::FILE* out = exit_code == 0 ? stdout : stderr;
     std::fprintf(out,
         "usage: %s [options]\n"
-        "  --threads=N         batch threads (0 = all cores, 1 = serial)\n"
+        "  --threads=N         batch threads, at most 256 (0 = all cores "
+        "up to 16,\n                      1 = serial)\n"
         "  --seed=N            master seed for per-job RNG streams\n"
         "  --trace-ops=N       dynamic micro-ops per generated trace\n"
         "  --suite-limit=N     truncate the suite to its first N traces\n"
@@ -152,10 +153,9 @@ ExperimentOptions
 ExperimentOptions::fromEnv()
 {
     ExperimentOptions opts;
-    if (auto v = envU64("CONSTABLE_THREADS")) {
-        opts.threads = static_cast<unsigned>(
-            std::min<uint64_t>(*v, ThreadPool::kMaxConcurrency));
-    }
+    if (auto v = envU64InRange("CONSTABLE_THREADS", 0,
+                               BatchOptions::kMaxThreads))
+        opts.threads = static_cast<unsigned>(*v);
     if (auto v = envU64("CONSTABLE_SEED"))
         opts.seed = *v;
     opts.traceOps = defaultTraceOps(); // strict-parses CONSTABLE_TRACE_OPS
@@ -233,9 +233,8 @@ ExperimentOptions::fromArgs(int argc, char** argv)
         if (flag == "--help" || flag == "-h") {
             printUsage(prog, 0);
         } else if (flag == "--threads") {
-            opts.threads = static_cast<unsigned>(
-                std::min<uint64_t>(parseU64Strict(flag, val()),
-                                   ThreadPool::kMaxConcurrency));
+            opts.threads = static_cast<unsigned>(parseU64InRange(
+                flag, val(), 0, BatchOptions::kMaxThreads));
         } else if (flag == "--seed") {
             opts.seed = parseU64Strict(flag, val());
         } else if (flag == "--trace-ops") {

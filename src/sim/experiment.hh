@@ -43,7 +43,8 @@ namespace constable {
 /** Unified knobs for suite preparation and sweep execution. */
 struct ExperimentOptions
 {
-    /** Batch threads; 0 = all hardware threads, 1 = serial replay. */
+    /** Batch threads, at most BatchOptions::kMaxThreads; 0 = the hardware
+     *  thread count up to 16, 1 = serial replay. */
     unsigned threads = 0;
     /** Master seed for per-job RNG streams (randomized sweeps). */
     uint64_t seed = 0x5eed5eedull;
@@ -127,7 +128,7 @@ struct ExperimentOptions
 /**
  * A prepared workload suite: specs plus generated (or cache-loaded) traces,
  * and optionally the offline load inspection with owned global-stable PC
- * sets. All preparation fans out over the batch pool.
+ * sets. All preparation fans out over forEachJob's threads.
  */
 class Suite
 {
@@ -249,9 +250,6 @@ class ExperimentResult
     std::vector<double> statColumn(const std::string& config,
                                    const std::string& stat) const;
 
-    /** Determinism fingerprint (sum of every cell's cycles). */
-    uint64_t totalCycles() const { return m_.totalCycles(); }
-
     /** Cells restored from a checkpoint instead of simulated. */
     size_t resumedCells() const { return resumedCells_; }
 
@@ -275,7 +273,7 @@ class ExperimentResult
 
 /**
  * A named {suite x configurations} sweep. Configurations are added under
- * unique names; run() executes the full matrix on the batch pool, and when
+ * unique names; run() executes the full matrix through forEachJob, and when
  * opts.checkpointDir is set every finished cell is persisted so a killed
  * sweep resumes from completed cells on the next invocation.
  *

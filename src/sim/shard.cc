@@ -53,15 +53,6 @@ makeLease(int shard_id)
     return r;
 }
 
-unsigned
-effectiveThreads(const BatchOptions& b)
-{
-    if (b.threads != 0)
-        return b.threads;
-    unsigned hw = std::thread::hardware_concurrency();
-    return std::max(1u, std::min(hw == 0 ? 1u : hw, 16u));
-}
-
 /**
  * Background mtime refresh of a held lease while its cell computes, so a
  * fleet can run lease TTLs far shorter than the worst-case cell time
@@ -258,8 +249,7 @@ size_t
 workerPass(WorkerCtx& ctx)
 {
     const size_t n = ctx.m.numCells();
-    const size_t maxClaims =
-        std::max<size_t>(1, effectiveThreads(ctx.opts.batch));
+    const size_t maxClaims = batchThreads(ctx.opts.batch);
     const double ttl = static_cast<double>(ctx.opts.leaseTtlSec);
 
     std::vector<size_t> claimed;
@@ -421,9 +411,8 @@ workerLoop(WorkerCtx& ctx)
 }
 
 /** Fork `shards` single-threaded workers over the claim loop and reap
- *  them. Child processes _exit() without running static destructors: they
- *  inherited the coordinator's thread pool, whose worker threads do not
- *  exist after fork(). */
+ *  them. Child processes _exit() without running static destructors or
+ *  the atexit writers, which belong to the coordinator. */
 void
 forkWorkers(const std::string& dir, const SweepManifest& m,
             const CellFn& compute, const ShardOptions& opts,
@@ -440,7 +429,7 @@ forkWorkers(const std::string& dir, const SweepManifest& m,
         if (pid == 0) {
             ShardOptions w = opts;
             w.shardId = static_cast<int>(k);
-            w.batch.threads = 1; // never touch the inherited pool
+            w.batch.threads = 1; // processes replace threads
             WorkerCtx ctx { dir, m, compute, w, {}, {}, {} };
             ctx.done.assign(m.numCells(), 0);
             ctx.claimOrder = buildClaimOrder(dir, m, w);

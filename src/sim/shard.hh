@@ -1,7 +1,7 @@
 /**
  * @file
- * Sharded multi-process sweep execution: a process tier above the batch
- * thread pool. A sweep's {row x config} cells are deterministic functions
+ * Sharded multi-process sweep execution: a process tier above forEachJob's
+ * threads. A sweep's {row x config} cells are deterministic functions
  * of their index, its checkpoint files are mergeable (PR 2), so any number
  * of processes sharing one checkpoint directory can cooperate on a matrix:
  *
@@ -66,8 +66,7 @@ struct ShardOptions
     unsigned quarantineAfter = 3;
     /** Thread/seed knobs for cells this process computes itself. Forked
      *  workers are forced serial (threads = 1): process-level parallelism
-     *  replaces the pool, and a fork()ed child must never touch the
-     *  global pool it inherited from the coordinator. */
+     *  replaces threads. */
     BatchOptions batch;
 
     bool active() const { return shards > 1 || shardId >= 0; }

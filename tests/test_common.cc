@@ -159,20 +159,14 @@ TEST(Stats, HistogramWeights)
     EXPECT_EQ(h.bucketCount(0), 3u);
 }
 
-TEST(Stats, StatSetGetMerge)
+TEST(Stats, StatSetGet)
 {
     StatSet a;
     a.set("x", 3);
     EXPECT_DOUBLE_EQ(a.get("x"), 3.0);
+    EXPECT_TRUE(a.has("x"));
     EXPECT_DOUBLE_EQ(a.get("missing"), 0.0);
     EXPECT_FALSE(a.has("missing"));
-
-    StatSet b;
-    b.set("x", 10);
-    b.set("y", 1);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.get("x"), 13.0);
-    EXPECT_DOUBLE_EQ(a.get("y"), 1.0);
 }
 
 TEST(Rng, Deterministic)

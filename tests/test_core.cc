@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "inspector/load_inspector.hh"
-#include "sim/batch.hh"
 #include "sim/mechanisms.hh"
 #include "sim/runner.hh"
 #include "sim/sample.hh"
@@ -383,14 +382,6 @@ TEST(Runner, SpeedupMath)
     a.cycles = 50;
     b.cycles = 100;
     EXPECT_DOUBLE_EQ(speedup(a, b), 2.0);
-}
-
-TEST(Runner, ParallelForCoversAllIndices)
-{
-    std::vector<std::atomic<int>> hits(64);
-    ThreadPool::global().run(64, [&](size_t i) { hits[i]++; });
-    for (auto& h : hits)
-        EXPECT_EQ(h.load(), 1);
 }
 
 TEST(Runner, PresetsSelectMechanisms)

@@ -20,6 +20,7 @@
 
 #include "common/env.hh"
 #include "sim/experiment.hh"
+#include "sim/scenario.hh"
 #include "trace/serialize.hh"
 #include "workloads/suite.hh"
 
@@ -244,9 +245,7 @@ TEST_F(TraceCache, CacheHitProducesIdenticalRunResult)
 
     auto a = runBoth(cold);
     auto b = runBoth(warm);
-    EXPECT_EQ(a.totalCycles(), b.totalCycles());
-    EXPECT_EQ(a.matrix().aggregateStats().all(),
-              b.matrix().aggregateStats().all());
+    EXPECT_EQ(resultFingerprint(a.matrix()), resultFingerprint(b.matrix()));
 }
 
 TEST_F(TraceCache, CorruptOrTruncatedFilesFallBackToRegeneration)
@@ -308,7 +307,8 @@ TEST_F(Checkpoint, ResumeFromPartialCheckpointIsBitIdentical)
     ck.checkpointDir = dir;
     auto first = makeExp(ck).run();
     EXPECT_EQ(first.resumedCells(), 0u);
-    EXPECT_EQ(first.totalCycles(), ref.totalCycles());
+    EXPECT_EQ(resultFingerprint(first.matrix()),
+              resultFingerprint(ref.matrix()));
 
     std::vector<std::string> cells;
     for (const auto& sub : fs::directory_iterator(dir)) {
@@ -326,14 +326,14 @@ TEST_F(Checkpoint, ResumeFromPartialCheckpointIsBitIdentical)
     // merged result must be bit-identical to the uninterrupted run.
     auto resumed = makeExp(ck).run();
     EXPECT_EQ(resumed.resumedCells(), 3u);
-    EXPECT_EQ(resumed.totalCycles(), ref.totalCycles());
-    EXPECT_EQ(resumed.matrix().aggregateStats().all(),
-              ref.matrix().aggregateStats().all());
+    EXPECT_EQ(resultFingerprint(resumed.matrix()),
+              resultFingerprint(ref.matrix()));
 
     // A fully warm checkpoint resumes every cell.
     auto warm = makeExp(ck).run();
     EXPECT_EQ(warm.resumedCells(), 6u);
-    EXPECT_EQ(warm.totalCycles(), ref.totalCycles());
+    EXPECT_EQ(resultFingerprint(warm.matrix()),
+              resultFingerprint(ref.matrix()));
 }
 
 /**
@@ -370,14 +370,14 @@ TEST_F(Checkpoint, ZeroByteAndGarbageCellsAreRegeneratedNotTrusted)
 
     auto resumed = makeExp(ck).run();
     EXPECT_EQ(resumed.resumedCells(), 2u); // only the intact pair loads
-    EXPECT_EQ(resumed.totalCycles(), ref.totalCycles());
-    EXPECT_EQ(resumed.matrix().aggregateStats().all(),
-              ref.matrix().aggregateStats().all());
+    EXPECT_EQ(resultFingerprint(resumed.matrix()),
+              resultFingerprint(ref.matrix()));
 
     // The regenerated cells are back on disk and trusted on the next run.
     auto warm = makeExp(ck).run();
     EXPECT_EQ(warm.resumedCells(), 4u);
-    EXPECT_EQ(warm.totalCycles(), ref.totalCycles());
+    EXPECT_EQ(resultFingerprint(warm.matrix()),
+              resultFingerprint(ref.matrix()));
 }
 
 TEST_F(Checkpoint, SmtSweepCheckpointsSeparatelyFromNoSmt)
@@ -394,11 +394,13 @@ TEST_F(Checkpoint, SmtSweepCheckpointsSeparatelyFromNoSmt)
     auto plain = makeExp().run();
     auto smt = makeExp().runSmt();
     EXPECT_EQ(smt.resumedCells(), 0u); // distinct key: no cross-pollution
-    EXPECT_NE(plain.totalCycles(), smt.totalCycles());
+    EXPECT_NE(resultFingerprint(plain.matrix()),
+              resultFingerprint(smt.matrix()));
 
     auto smtAgain = makeExp().runSmt();
     EXPECT_EQ(smtAgain.resumedCells(), 1u); // 1 pair x 1 config
-    EXPECT_EQ(smtAgain.totalCycles(), smt.totalCycles());
+    EXPECT_EQ(resultFingerprint(smtAgain.matrix()),
+              resultFingerprint(smt.matrix()));
 }
 
 // ----------------------------------------------------------- option parsing
@@ -495,12 +497,28 @@ TEST(OptionsDeathTest, MalformedEnvIsFatalNotSilent)
             ExperimentOptions::fromEnv();
         },
         ::testing::ExitedWithCode(1), "CONSTABLE_THREADS");
+    // Above the thread cap is fatal too, not silently clamped to it.
+    EXPECT_EXIT(
+        {
+            setenv("CONSTABLE_THREADS", "257", 1);
+            ExperimentOptions::fromEnv();
+        },
+        ::testing::ExitedWithCode(1),
+        "CONSTABLE_THREADS must be in \\[0, 256\\], got '257'");
     EXPECT_EXIT(
         {
             setenv("CONSTABLE_TRACE_OPS", "0", 1);
             ExperimentOptions::fromEnv();
         },
         ::testing::ExitedWithCode(1), "CONSTABLE_TRACE_OPS");
+}
+
+TEST(OptionsDeathTest, ThreadsFlagAboveCapIsFatal)
+{
+    const char* argv[] = { "prog", "--threads=257" };
+    EXPECT_EXIT(ExperimentOptions::fromArgs(2, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(1),
+                "--threads must be in \\[0, 256\\], got '257'");
 }
 
 TEST(OptionsDeathTest, EnvTraceOutWithCliFaultPlanExitsCleanly)
@@ -581,9 +599,7 @@ TEST(Experiment, MatchesDirectRunTraceBitExactly)
     }
 
     ASSERT_EQ(res.matrix().results.size(), direct.results.size());
-    EXPECT_EQ(res.totalCycles(), direct.totalCycles());
-    EXPECT_EQ(res.matrix().aggregateStats().all(),
-              direct.aggregateStats().all());
+    EXPECT_EQ(resultFingerprint(res.matrix()), resultFingerprint(direct));
     // Name-addressed accessors hit the right cells.
     EXPECT_EQ(res.at(1, "constable").cycles, direct.at(1, 1).cycles);
     EXPECT_EQ(res.speedups("constable", "baseline")[0],

@@ -4,13 +4,15 @@
  * gate never perturbs simulated results (RunResult bytes are bit-identical
  * either way), the span ring drops and counts on overflow, status.json is
  * atomically rewritten (a concurrent reader never sees a torn file), the
- * emitted Chrome trace-event JSON is well-formed, and shard partial files
+ * emitted Chrome trace-event JSON is well-formed, forEachJob's workers
+ * keep one lane per worker index across calls, and shard partial files
  * round-trip counters/histograms/spans through save + merge. Plus the
  * CONSTABLE_LOG_LEVEL satellite: warnOnce/warnEvery dedup state.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -21,6 +23,7 @@
 #include "common/faultio.hh"
 #include "common/logging.hh"
 #include "common/obs.hh"
+#include "sim/batch.hh"
 #include "sim/mechanisms.hh"
 #include "sim/runner.hh"
 #include "trace/serialize.hh"
@@ -183,6 +186,46 @@ TEST_F(ObsTest, TraceEventJsonIsWellFormedWithLaneMetadata)
     // Complete events carry the X phase with timestamps.
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(json.find("\"ts\":10,\"dur\":20"), std::string::npos);
+}
+
+/** Names of the thread lanes in a written trace ("main", "pool-<k>",
+ *  "thread-<n>"), in lane order; synthetic lanes are left out. */
+std::vector<std::string>
+threadLaneNames(const std::string& json)
+{
+    const std::string key = "\"name\":\"thread_name\"";
+    const std::string arg = "\"args\":{\"name\":\"";
+    std::vector<std::string> names;
+    for (size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1)) {
+        size_t begin = json.find(arg, at) + arg.size();
+        std::string name = json.substr(begin, json.find('"', begin) - begin);
+        if (name == "main" || name.rfind("pool-", 0) == 0 ||
+            name.rfind("thread-", 0) == 0)
+            names.push_back(name);
+    }
+    return names;
+}
+
+TEST_F(ObsTest, PoolLanesStayBoundedAcrossCalls)
+{
+    obsArm();
+    BatchOptions opts;
+    opts.threads = 3;
+    {
+        ObsSpan outer("calls", "test");
+        for (int call = 0; call < 20; ++call) {
+            forEachJob(32, [](size_t, Rng&) { ObsSpan s("job", "test"); },
+                       opts);
+        }
+    }
+    std::string path = dir + "/trace.json";
+    ASSERT_TRUE(obsWriteTrace(path));
+    // Each worker index keeps one lane however many calls start a worker.
+    std::vector<std::string> lanes = threadLaneNames(obsReadStatus(path));
+    std::sort(lanes.begin(), lanes.end());
+    EXPECT_EQ(lanes,
+              (std::vector<std::string> { "main", "pool-1", "pool-2" }));
 }
 
 TEST_F(ObsTest, MetricsSnapshotIsWellFormedJson)

@@ -85,8 +85,9 @@ TEST(SampleSelect, SameSeedSelectsIdenticalWindows)
     for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].end - a[i].begin, opts.sample.window);
         EXPECT_LE(a[i].end, t.ops.size());
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(a[i].begin, a[i - 1].begin);
+        }
         wsum += a[i].weight;
     }
     EXPECT_LE(wsum, 1.0 + 1e-9);

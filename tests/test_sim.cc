@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the sim layer: the work-stealing ThreadPool, determinism of
+ * Tests for the sim layer: forEachJob's parallel loop, determinism of
  * Experiment's {trace x config} matrix across thread counts, and smoke
  * coverage of every mechanism registry preset in sim/mechanisms.hh.
  */
@@ -8,6 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <filesystem>
+#include <iterator>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "inspector/load_inspector.hh"
@@ -15,53 +21,118 @@
 #include "sim/experiment.hh"
 #include "sim/mechanisms.hh"
 #include "sim/runner.hh"
+#include "sim/scenario.hh"
 #include "trace/generator.hh"
 #include "workloads/suite.hh"
 
 namespace constable {
 namespace {
 
-// ------------------------------------------------------------- ThreadPool
+// ------------------------------------------------------------- forEachJob
 
-TEST(ThreadPool, RunsEveryIndexExactlyOnce)
+BatchOptions
+withThreads(unsigned threads)
 {
-    ThreadPool pool(4);
+    BatchOptions opts;
+    opts.threads = threads;
+    return opts;
+}
+
+TEST(ForEachJob, RunsEveryIndexExactlyOnce)
+{
     constexpr size_t kN = 1000;
     std::vector<std::atomic<unsigned>> hits(kN);
-    pool.run(kN, [&](size_t i) { hits[i].fetch_add(1); });
+    forEachJob(kN, [&](size_t i, Rng&) { hits[i].fetch_add(1); },
+               withThreads(4));
     for (size_t i = 0; i < kN; ++i)
         EXPECT_EQ(hits[i].load(), 1u) << "index " << i;
 }
 
-TEST(ThreadPool, ReusableAcrossBatches)
+TEST(ForEachJob, RepeatedCallsEachRunEveryJob)
 {
-    ThreadPool pool(3);
     for (int round = 0; round < 20; ++round) {
         std::atomic<size_t> sum { 0 };
-        pool.run(64, [&](size_t i) { sum.fetch_add(i); });
+        forEachJob(64, [&](size_t i, Rng&) { sum.fetch_add(i); },
+                   withThreads(3));
         EXPECT_EQ(sum.load(), 64u * 63u / 2);
     }
 }
 
-TEST(ThreadPool, NestedRunExecutesInline)
+TEST(ForEachJob, NestedCallRunsInlineOnItsJobsThread)
 {
-    ThreadPool pool(4);
     std::atomic<size_t> inner { 0 };
-    pool.run(8, [&](size_t) {
-        // A job that itself submits a batch must not deadlock.
-        pool.run(4, [&](size_t) { inner.fetch_add(1); });
-    });
+    std::atomic<size_t> offThread { 0 };
+    forEachJob(8, [&](size_t, Rng&) {
+        // A job that itself submits a batch runs it on its own thread.
+        const std::thread::id outer = std::this_thread::get_id();
+        forEachJob(4, [&](size_t, Rng&) {
+            inner.fetch_add(1);
+            if (std::this_thread::get_id() != outer)
+                offThread.fetch_add(1);
+        }, withThreads(4));
+    }, withThreads(4));
     EXPECT_EQ(inner.load(), 32u);
+    EXPECT_EQ(offThread.load(), 0u);
 }
 
-TEST(ThreadPool, ZeroAndOneSizedBatches)
+TEST(ForEachJob, ZeroAndOneSizedBatches)
 {
-    ThreadPool pool(4);
     unsigned calls = 0;
-    pool.run(0, [&](size_t) { ++calls; });
+    forEachJob(0, [&](size_t, Rng&) { ++calls; }, withThreads(4));
     EXPECT_EQ(calls, 0u);
-    pool.run(1, [&](size_t) { ++calls; });
+    forEachJob(1, [&](size_t, Rng&) { ++calls; }, withThreads(4));
     EXPECT_EQ(calls, 1u);
+}
+
+TEST(ForEachJob, SlowJobDoesNotHoldBackOthers)
+{
+    // Job 0 blocks its thread until the other 15 jobs are done: the second
+    // thread must be free to take every one of them.
+    constexpr size_t kN = 16;
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t finished = 0;
+    size_t seenByJob0 = 0;
+    forEachJob(kN, [&](size_t job, Rng&) {
+        std::unique_lock<std::mutex> lk(mu);
+        if (job == 0) {
+            cv.wait_for(lk, std::chrono::seconds(5),
+                        [&] { return finished == kN - 1; });
+            seenByJob0 = finished;
+        } else {
+            ++finished;
+            cv.notify_all();
+        }
+    }, withThreads(2));
+    EXPECT_EQ(seenByJob0, kN - 1);
+}
+
+/** Threads of this process, as the kernel lists them. */
+long
+liveThreads()
+{
+    namespace fs = std::filesystem;
+    return std::distance(fs::directory_iterator("/proc/self/task"),
+                         fs::directory_iterator {});
+}
+
+TEST(ForEachJob, NoThreadOutlivesTheCall)
+{
+    // Start and join one thread first, so a runtime helper thread spawned
+    // on the first thread creation (TSan has one) is already counted.
+    std::thread([] {}).join();
+    const long before = liveThreads();
+    std::atomic<size_t> ran { 0 };
+    forEachJob(64, [&](size_t, Rng&) { ran.fetch_add(1); }, BatchOptions{});
+    EXPECT_EQ(ran.load(), 64u);
+    // A joined thread can linger in /proc for a moment while the kernel
+    // reaps it; poll briefly, bounded.
+    long after = liveThreads();
+    for (int i = 0; i < 200 && after != before; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        after = liveThreads();
+    }
+    EXPECT_EQ(after, before);
 }
 
 TEST(ForEachJob, RngStreamsIndependentOfThreadCount)
@@ -154,11 +225,10 @@ TEST_F(MatrixDeterminism, ParallelMatchesSerialBitExactly)
                 << "cell " << i << " @ " << threads << " threads";
             EXPECT_EQ(g.results[i].instructions, r.results[i].instructions);
         }
-        // Aggregate stats merge in index order: the full named-counter map
-        // must be bit-identical, not just the headline numbers.
-        EXPECT_EQ(g.aggregateStats().all(), r.aggregateStats().all())
-            << "aggregate stats diverge @ " << threads << " threads";
-        EXPECT_EQ(g.totalCycles(), r.totalCycles());
+        // Every cell's full serialized RunResult (stats included) must be
+        // bit-identical, not just the headline numbers.
+        EXPECT_EQ(resultFingerprint(g), resultFingerprint(r))
+            << "results diverge @ " << threads << " threads";
     }
 }
 
@@ -179,8 +249,8 @@ TEST_F(MatrixDeterminism, SmtMatrixParallelMatchesSerial)
     for (size_t i = 0; i < ref.matrix().results.size(); ++i)
         EXPECT_EQ(got.matrix().results[i].cycles,
                   ref.matrix().results[i].cycles);
-    EXPECT_EQ(got.matrix().aggregateStats().all(),
-              ref.matrix().aggregateStats().all());
+    EXPECT_EQ(resultFingerprint(got.matrix()),
+              resultFingerprint(ref.matrix()));
 }
 
 TEST_F(MatrixDeterminism, RowDependentConfigsAndGsSets)
@@ -202,8 +272,8 @@ TEST_F(MatrixDeterminism, RowDependentConfigsAndGsSets)
     };
     ExperimentResult ref = sweep(1);
     ExperimentResult got = sweep(4);
-    EXPECT_EQ(got.matrix().aggregateStats().all(),
-              ref.matrix().aggregateStats().all());
+    EXPECT_EQ(resultFingerprint(got.matrix()),
+              resultFingerprint(ref.matrix()));
     // The oracle must not lose to the baseline on its own stable set.
     EXPECT_GE(speedup(ref.at(0, 1), ref.at(0, 0)), 0.9);
 }
