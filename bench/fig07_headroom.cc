@@ -7,7 +7,6 @@
  */
 
 #include "sim/experiment.hh"
-#include "sim/scenario.hh"
 
 using namespace constable;
 
@@ -15,10 +14,6 @@ int
 main(int argc, char** argv)
 {
     auto opts = ExperimentOptions::fromArgs(argc, argv);
-    // --mech / --scenario replace the compiled-in figure with a
-    // named registry sweep (sim/scenario.hh).
-    if (runNamedSweepIfRequested("fig07", opts))
-        return 0;
     Suite suite = Suite::prepare(opts);
 
     CoreConfig wide;

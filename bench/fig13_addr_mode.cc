@@ -15,10 +15,6 @@ int
 main(int argc, char** argv)
 {
     auto opts = ExperimentOptions::fromArgs(argc, argv);
-    // --mech / --scenario replace the compiled-in figure with a
-    // named registry sweep (sim/scenario.hh).
-    if (runNamedSweepIfRequested("fig13", opts))
-        return 0;
     Suite suite = Suite::prepare(opts);
 
     auto res = Experiment("fig13", suite, opts)
@@ -42,8 +38,8 @@ main(int argc, char** argv)
           res.speedups("constable-regrel", "baseline"),
           res.speedups("constable", "baseline") },
         { "PC-rel only", "Stack only", "Reg only", "All loads" });
-    // Byte-level fingerprint: the CI scenario-smoke job diffs this line
-    // against a --mech/--scenario run of the same preset list.
+    // Byte-level fingerprint: CI's release-smoke job diffs this line
+    // against constable-sweep's run of the same preset list.
     printResultFingerprint(res);
     return 0;
 }

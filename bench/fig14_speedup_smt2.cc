@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "sim/experiment.hh"
-#include "sim/scenario.hh"
 
 using namespace constable;
 
@@ -21,10 +20,6 @@ int
 main(int argc, char** argv)
 {
     auto opts = ExperimentOptions::fromArgs(argc, argv);
-    // --mech / --scenario replace the compiled-in figure with a
-    // named registry sweep (sim/scenario.hh).
-    if (runNamedSweepIfRequested("fig14", opts))
-        return 0;
     Suite suite = Suite::prepare(opts, /*inspect=*/false);
 
     auto res = Experiment("fig14", suite, opts)

@@ -6,7 +6,6 @@
  */
 
 #include "sim/experiment.hh"
-#include "sim/scenario.hh"
 
 using namespace constable;
 
@@ -14,10 +13,6 @@ int
 main(int argc, char** argv)
 {
     auto opts = ExperimentOptions::fromArgs(argc, argv);
-    // --mech / --scenario replace the compiled-in figure with a
-    // named registry sweep (sim/scenario.hh).
-    if (runNamedSweepIfRequested("fig15", opts))
-        return 0;
     Suite suite = Suite::prepare(opts);
 
     auto res = Experiment("fig15", suite, opts)

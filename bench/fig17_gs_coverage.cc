@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "sim/experiment.hh"
-#include "sim/scenario.hh"
 
 using namespace constable;
 
@@ -19,10 +18,6 @@ int
 main(int argc, char** argv)
 {
     auto opts = ExperimentOptions::fromArgs(argc, argv);
-    // --mech / --scenario replace the compiled-in figure with a
-    // named registry sweep (sim/scenario.hh).
-    if (runNamedSweepIfRequested("fig17", opts))
-        return 0;
     Suite suite = Suite::prepare(opts);
     auto res = Experiment("fig17", suite, opts)
                    .addPreset("constable")

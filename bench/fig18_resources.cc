@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "sim/experiment.hh"
-#include "sim/scenario.hh"
 
 using namespace constable;
 
@@ -17,10 +16,6 @@ int
 main(int argc, char** argv)
 {
     auto opts = ExperimentOptions::fromArgs(argc, argv);
-    // --mech / --scenario replace the compiled-in figure with a
-    // named registry sweep (sim/scenario.hh).
-    if (runNamedSweepIfRequested("fig18", opts))
-        return 0;
     Suite suite = Suite::prepare(opts);
     auto res = Experiment("fig18", suite, opts)
                    .addPreset("baseline")

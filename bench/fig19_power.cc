@@ -10,7 +10,6 @@
 
 #include "power/power.hh"
 #include "sim/experiment.hh"
-#include "sim/scenario.hh"
 
 using namespace constable;
 
@@ -18,10 +17,6 @@ int
 main(int argc, char** argv)
 {
     auto opts = ExperimentOptions::fromArgs(argc, argv);
-    // --mech / --scenario replace the compiled-in figure with a
-    // named registry sweep (sim/scenario.hh).
-    if (runNamedSweepIfRequested("fig19", opts))
-        return 0;
     Suite suite = Suite::prepare(opts);
     auto res = Experiment("fig19", suite, opts)
                    .addPreset("baseline")

@@ -15,7 +15,6 @@
 #include <string>
 
 #include "sim/experiment.hh"
-#include "sim/scenario.hh"
 
 using namespace constable;
 
@@ -23,10 +22,6 @@ int
 main(int argc, char** argv)
 {
     auto opts = ExperimentOptions::fromArgs(argc, argv);
-    // --mech / --scenario replace the compiled-in figure with a
-    // named registry sweep (sim/scenario.hh).
-    if (runNamedSweepIfRequested("fig20", opts))
-        return 0;
     Suite suite = Suite::prepare(opts, /*inspect=*/false);
 
     Experiment width("fig20a-width", suite, opts);

@@ -17,7 +17,6 @@
 #include <cstdio>
 
 #include "sim/experiment.hh"
-#include "sim/scenario.hh"
 
 using namespace constable;
 
@@ -25,10 +24,6 @@ int
 main(int argc, char** argv)
 {
     auto opts = ExperimentOptions::fromArgs(argc, argv);
-    // --mech / --scenario replace the compiled-in figure with a
-    // named registry sweep (sim/scenario.hh).
-    if (runNamedSweepIfRequested("fig23", opts))
-        return 0;
 
     auto specs = paperSuite(opts.traceOps);
     std::vector<WorkloadSpec> spec16;

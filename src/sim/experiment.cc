@@ -58,17 +58,6 @@ makeTempDir(const char* prefix)
     return buf.data();
 }
 
-/** Parse the comma-separated registry preset names in @p list into out
- *  via the shared strict parser; fatal() when the list names nothing. */
-void
-appendMechNames(const std::string& what, const std::string& list,
-                std::vector<std::string>& out)
-{
-    if (appendPresetNames(what, list, out) == 0)
-        fatal(what + " names no mechanism presets (known: " +
-              MechanismRegistry::instance().nameList() + ")");
-}
-
 [[noreturn]] void
 printUsage(const char* prog, int exit_code)
 {
@@ -84,10 +73,6 @@ printUsage(const char* prog, int exit_code)
         "load)\n"
         "  --checkpoint-dir=PATH  per-cell checkpoints; interrupted sweeps "
         "resume\n"
-        "  --trace-cache-max-mb=N       LRU-trim the trace cache to N MB "
-        "(0 = off)\n"
-        "  --trace-cache-max-age-days=N drop cache entries older than N "
-        "days (0 = off)\n"
         "  --shards=N          fork N cooperating worker processes per "
         "sweep\n"
         "  --shard-id=K        join an externally launched fleet as worker "
@@ -97,10 +82,6 @@ printUsage(const char* prog, int exit_code)
         "seconds\n"
         "  --shard-poll-ms=N   poll interval while waiting on other "
         "shards\n"
-        "  --mech=NAME[,NAME...]  run these registry presets instead of "
-        "the\n                      bench's compiled-in figure\n"
-        "  --scenario=FILE     run a declarative scenario file (see "
-        "README)\n"
         "  --sample=SPEC       phase-sampled simulation: phases:N,window:K "
         "(or\n                      'off'); see README \"Sampled "
         "simulation\"\n"
@@ -114,19 +95,16 @@ printUsage(const char* prog, int exit_code)
         "  --progress-sec=N    seconds between one-line progress reports "
         "(0 = off)\n"
         "  --help              this text\n"
-        "Mechanism presets: %s\n"
         "Environment: CONSTABLE_THREADS, CONSTABLE_SEED, "
         "CONSTABLE_TRACE_OPS,\nCONSTABLE_SUITE_LIMIT, CONSTABLE_TRACE_DIR, "
-        "CONSTABLE_CHECKPOINT_DIR,\nCONSTABLE_TRACE_CACHE_MAX_MB, "
-        "CONSTABLE_TRACE_CACHE_MAX_AGE_DAYS,\nCONSTABLE_SHARDS, "
+        "CONSTABLE_CHECKPOINT_DIR,\nCONSTABLE_SHARDS, "
         "CONSTABLE_SHARD_ID, CONSTABLE_LEASE_TTL_SEC,\n"
-        "CONSTABLE_SHARD_POLL_MS, CONSTABLE_MECH,\n"
-        "CONSTABLE_SCENARIO, CONSTABLE_SAMPLE, CONSTABLE_FAULT_PLAN, "
-        "CONSTABLE_FAULT_MARKER_DIR,\nCONSTABLE_FAULT_SEED, "
-        "CONSTABLE_TRACE_OUT, CONSTABLE_METRICS_OUT,\n"
-        "CONSTABLE_PROGRESS_SEC, CONSTABLE_LOG_LEVEL "
+        "CONSTABLE_SHARD_POLL_MS, CONSTABLE_SAMPLE, CONSTABLE_FAULT_PLAN,\n"
+        "CONSTABLE_FAULT_MARKER_DIR, CONSTABLE_FAULT_SEED, "
+        "CONSTABLE_TRACE_OUT,\nCONSTABLE_METRICS_OUT, "
+        "CONSTABLE_PROGRESS_SEC, CONSTABLE_LOG_LEVEL\n"
         "(strict-parsed; CLI flags override env).\n",
-        prog, MechanismRegistry::instance().nameList().c_str());
+        prog);
     std::exit(exit_code);
 }
 
@@ -146,6 +124,15 @@ requireOnePerTrace(const std::string& header, size_t values, size_t traces)
 }
 
 } // namespace
+
+int
+seriesNameWidth(const std::vector<std::string>& names)
+{
+    size_t width = 13;
+    for (const std::string& n : names)
+        width = std::max(width, n.size());
+    return static_cast<int>(width + 1);
+}
 
 // -------------------------------------------------------- ExperimentOptions
 
@@ -168,10 +155,6 @@ ExperimentOptions::fromEnv()
         opts.traceDir = *v;
     if (auto v = envStr("CONSTABLE_CHECKPOINT_DIR"))
         opts.checkpointDir = *v;
-    if (auto v = envU64("CONSTABLE_TRACE_CACHE_MAX_MB"))
-        opts.traceCacheMaxMB = *v;
-    if (auto v = envU64("CONSTABLE_TRACE_CACHE_MAX_AGE_DAYS"))
-        opts.traceCacheMaxAgeDays = *v;
     if (auto v = envU64InRange("CONSTABLE_SHARDS", 1,
                                ShardOptions::kMaxShards))
         opts.shards = static_cast<unsigned>(*v);
@@ -182,10 +165,6 @@ ExperimentOptions::fromEnv()
         opts.leaseTtlSec = static_cast<unsigned>(*v);
     if (auto v = envU64InRange("CONSTABLE_SHARD_POLL_MS", 1, 60'000))
         opts.shardPollMs = static_cast<unsigned>(*v);
-    if (auto v = envStr("CONSTABLE_MECH"))
-        appendMechNames("CONSTABLE_MECH", *v, opts.mechNames);
-    if (auto v = envStr("CONSTABLE_SCENARIO"))
-        opts.scenarioFile = *v;
     if (auto v = envStr("CONSTABLE_SAMPLE"))
         opts.sample = SampleOptions::parse(*v);
     if (auto v = envStr("CONSTABLE_TRACE_OUT"))
@@ -206,13 +185,6 @@ ExperimentOptions::fromArgs(int argc, char** argv)
 {
     ExperimentOptions opts = fromEnv();
     const char* prog = argc > 0 ? argv[0] : "bench";
-    // A sweep selection on the command line replaces one from the
-    // environment ("CLI overrides env"), while repeated CLI --mech flags
-    // still accumulate; --mech also displaces an env scenario and vice
-    // versa, so the mutual-exclusion check only fires within one layer.
-    bool mechFromCli = false;
-    bool scenarioFromCli = false;
-
     auto next = [&](int& i, const std::string& flag) -> std::string {
         if (i + 1 >= argc)
             fatal(flag + " requires a value (see --help)");
@@ -251,10 +223,6 @@ ExperimentOptions::fromArgs(int argc, char** argv)
             opts.traceDir = val();
         } else if (flag == "--checkpoint-dir") {
             opts.checkpointDir = val();
-        } else if (flag == "--trace-cache-max-mb") {
-            opts.traceCacheMaxMB = parseU64Strict(flag, val());
-        } else if (flag == "--trace-cache-max-age-days") {
-            opts.traceCacheMaxAgeDays = parseU64Strict(flag, val());
         } else if (flag == "--shards") {
             opts.shards = static_cast<unsigned>(
                 parseU64InRange(flag, val(), 1, ShardOptions::kMaxShards));
@@ -268,19 +236,6 @@ ExperimentOptions::fromArgs(int argc, char** argv)
         } else if (flag == "--shard-poll-ms") {
             opts.shardPollMs = static_cast<unsigned>(
                 parseU64InRange(flag, val(), 1, 60'000));
-        } else if (flag == "--mech") {
-            if (!mechFromCli) {
-                opts.mechNames.clear();
-                mechFromCli = true;
-                if (!scenarioFromCli)
-                    opts.scenarioFile.clear();
-            }
-            appendMechNames(flag, val(), opts.mechNames);
-        } else if (flag == "--scenario") {
-            opts.scenarioFile = val();
-            scenarioFromCli = true;
-            if (!mechFromCli)
-                opts.mechNames.clear();
         } else if (flag == "--sample") {
             opts.sample = SampleOptions::parse(val());
         } else if (flag == "--fault-plan") {
@@ -377,15 +332,6 @@ Suite::fromSpecs(std::vector<WorkloadSpec> specs,
                 if (std::filesystem::exists(path, xec) && !xec)
                     corruptEntry[i] = 1;
             }
-            if (e.fromCache && (opts.traceCacheMaxMB != 0 ||
-                                opts.traceCacheMaxAgeDays != 0)) {
-                // LRU trimming ranks by mtime, which plain reads never
-                // advance: touch hits so live entries stay newest.
-                std::error_code tec;
-                std::filesystem::last_write_time(
-                    path, std::filesystem::file_time_type::clock::now(),
-                    tec);
-            }
             if (!e.fromCache) {
                 // Missing, corrupt or stale-format: regenerate and refresh
                 // the cache entry (atomic write, safe under concurrency).
@@ -424,14 +370,6 @@ Suite::fromSpecs(std::vector<WorkloadSpec> specs,
         warn(std::to_string(failedWrites) +
              " regenerated trace(s) could not be written back to the "
              "cache; continuing with in-memory traces");
-    }
-    if (!dir.empty()) {
-        // Opt-in retention: runs after preparation, so entries this suite
-        // just wrote or refreshed are the newest and survive the LRU pass.
-        TraceCacheTrimPolicy trim;
-        trim.maxBytes = opts.traceCacheMaxMB * 1024 * 1024;
-        trim.maxAgeSeconds = opts.traceCacheMaxAgeDays * 24 * 3600;
-        trimTraceCache(dir, trim);
     }
     return s;
 }
@@ -510,13 +448,14 @@ Suite::printGeomeans(const std::string& header,
     for (size_t i = 0; i < entries_.size(); ++i)
         byCat[entries_[i].spec.category].push_back(i);
 
+    int nameWidth = seriesNameWidth(series_names);
     std::printf("%s\n", header.c_str());
-    std::printf("%-14s", "config");
+    std::printf("%-*s", nameWidth, "config");
     for (const auto& [cat, idx] : byCat)
         std::printf("%12s", cat.c_str());
     std::printf("%12s\n", "GEOMEAN");
     for (size_t s = 0; s < series.size(); ++s) {
-        std::printf("%-14s", series_names[s].c_str());
+        std::printf("%-*s", nameWidth, series_names[s].c_str());
         for (const auto& [cat, idxs] : byCat) {
             std::vector<double> vals;
             for (size_t i : idxs)

@@ -56,12 +56,6 @@ struct ExperimentOptions
     std::string traceDir;
     /** Per-cell checkpoint directory; empty disables checkpointing. */
     std::string checkpointDir;
-    /** Trace-cache size cap in MB; 0 (default) disables size trimming.
-     *  Applied to traceDir after suite preparation (LRU by mtime). */
-    uint64_t traceCacheMaxMB = 0;
-    /** Trace-cache entry age cap in days; 0 (default) disables age
-     *  trimming. */
-    uint64_t traceCacheMaxAgeDays = 0;
     /** Process-level sharding: > 1 forks that many cooperating worker
      *  processes per sweep (coordinator mode; see sim/shard.hh). */
     unsigned shards = 1;
@@ -73,12 +67,6 @@ struct ExperimentOptions
     unsigned leaseTtlSec = 120;
     /** Poll interval while a shard waits on other workers' cells (ms). */
     unsigned shardPollMs = 100;
-    /** Registry preset names from --mech / CONSTABLE_MECH: benches run
-     *  this sweep instead of their compiled-in figure
-     *  (sim/scenario.hh: runNamedSweepIfRequested). */
-    std::vector<std::string> mechNames;
-    /** Scenario file from --scenario / CONSTABLE_SCENARIO (ditto). */
-    std::string scenarioFile;
     /** Chrome trace-event JSON written at exit (--trace-out /
      *  CONSTABLE_TRACE_OUT); non-empty arms the obs registry. */
     std::string traceOutPath;
@@ -96,15 +84,13 @@ struct ExperimentOptions
      *  share cells. SMT-pair sweeps reject sampling (fatal). */
     SampleOptions sample;
 
-    /** All knobs from CONSTABLE_* env vars (strict: malformed -> fatal).
-     *  New: CONSTABLE_MECH, CONSTABLE_SCENARIO, CONSTABLE_SAMPLE. */
+    /** All knobs from CONSTABLE_* env vars (strict: malformed -> fatal). */
     static ExperimentOptions fromEnv();
 
     /**
      * Env first, then CLI flags override: --threads=N --seed=N
      * --trace-ops=N --suite-limit=N --trace-dir=PATH --checkpoint-dir=PATH
      * --shards=N --shard-id=K --lease-ttl-sec=N --shard-poll-ms=N
-     * --mech=NAME[,NAME...] --scenario=FILE
      * --sample=phases:N,window:K
      * ("--flag value" also accepted). --help prints usage and exits;
      * unknown arguments fatal().
@@ -124,6 +110,10 @@ struct ExperimentOptions
      *  should narrate it). */
     bool printsReport() const { return shardId <= 0; }
 };
+
+/** Width of a geomean table's name column: 14, or one more than the
+ *  longest of @p names. */
+int seriesNameWidth(const std::vector<std::string>& names);
 
 /**
  * A prepared workload suite: specs plus generated (or cache-loaded) traces,

@@ -1,6 +1,6 @@
 #include "sim/mechanisms.hh"
 
-#include <sstream>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -8,177 +8,70 @@ namespace constable {
 
 namespace {
 
-/** Split a ':'-joined token list ("constable:pcrel:amt-i"). */
-std::vector<std::string>
-splitMods(const std::string& token)
+MechanismPreset
+preset(std::string name, std::string description, MechanismConfig config)
 {
-    std::vector<std::string> parts;
-    size_t start = 0;
-    while (start <= token.size()) {
-        size_t colon = token.find(':', start);
-        if (colon == std::string::npos) {
-            parts.push_back(token.substr(start));
-            break;
-        }
-        parts.push_back(token.substr(start, colon - start));
-        start = colon + 1;
-    }
-    return parts;
+    MechanismPreset p;
+    p.name = std::move(name);
+    p.description = std::move(description);
+    p.perRow = config.ideal.mode != IdealMode::None;
+    p.config = std::move(config);
+    return p;
 }
 
-void
-applyConstableToken(const std::vector<std::string>& mods,
-                    const std::string& spec, MechanismConfig& m)
-{
-    m.constable.enabled = true;
-    bool modesNarrowed = false;
-    auto narrowModes = [&]() {
-        if (!modesNarrowed) {
-            m.constable.eliminatePcRel = false;
-            m.constable.eliminateStackRel = false;
-            m.constable.eliminateRegRel = false;
-            modesNarrowed = true;
-        }
-    };
-    for (size_t i = 1; i < mods.size(); ++i) {
-        const std::string& mod = mods[i];
-        if (mod == "pcrel") {
-            narrowModes();
-            m.constable.eliminatePcRel = true;
-        } else if (mod == "stackrel") {
-            narrowModes();
-            m.constable.eliminateStackRel = true;
-        } else if (mod == "regrel") {
-            narrowModes();
-            m.constable.eliminateRegRel = true;
-        } else if (mod == "none") {
-            narrowModes();
-        } else if (mod == "amt-i") {
-            m.constable.cvBitPinning = false;
-        } else if (mod == "no-wrong-path") {
-            m.constable.wrongPathUpdates = false;
-        } else {
-            fatal("mechanism spec '" + spec +
-                  "': unknown constable modifier ':" + mod + "'");
-        }
-    }
-}
-
-} // namespace
+// Each preset's config is spelled as the techniques its name lists:
+// "eves+constable" is withEves(withConstable()).
 
 MechanismConfig
-parseMechanismSpec(const std::string& spec, const std::unordered_set<PC>* gs)
+withConstable(ConstableConfig c = ConstableConfig{})
 {
     MechanismConfig m;
-    std::istringstream in(spec);
-    std::string token;
-    bool any = false;
-    while (in >> token) {
-        any = true;
-        auto mods = splitMods(token);
-        const std::string& head = mods[0];
-        if (head == "baseline") {
-            if (mods.size() > 1)
-                fatal("mechanism spec '" + spec +
-                      "': 'baseline' takes no modifiers");
-        } else if (head == "no-mrn") {
-            m.mrn = false;
-        } else if (head == "eves") {
-            m.eves = true;
-        } else if (head == "elar") {
-            m.elar = true;
-        } else if (head == "rfp") {
-            m.rfp = true;
-        } else if (head == "constable") {
-            applyConstableToken(mods, spec, m);
-        } else if (head == "ideal") {
-            if (mods.size() != 2)
-                fatal("mechanism spec '" + spec +
-                      "': 'ideal' needs exactly one mode modifier");
-            if (mods[1] == "stable-lvp")
-                m.ideal.mode = IdealMode::StableLvp;
-            else if (mods[1] == "stable-lvp-nofetch")
-                m.ideal.mode = IdealMode::StableLvpNoFetch;
-            else if (mods[1] == "constable")
-                m.ideal.mode = IdealMode::Constable;
-            else
-                fatal("mechanism spec '" + spec +
-                      "': unknown ideal mode ':" + mods[1] + "'");
-            if (gs)
-                m.ideal.stablePcs = *gs;
-        } else {
-            fatal("mechanism spec '" + spec + "': unknown token '" + token +
-                  "'");
-        }
-    }
-    if (!any)
-        fatal("empty mechanism spec");
+    m.constable = c;
     return m;
 }
 
-std::string
-mechanismSpec(const MechanismConfig& m)
+MechanismConfig
+withEves(MechanismConfig m = MechanismConfig{})
 {
-    std::vector<std::string> toks;
-    if (!m.mrn)
-        toks.push_back("no-mrn");
-    if (m.eves)
-        toks.push_back("eves");
-    if (m.elar)
-        toks.push_back("elar");
-    if (m.rfp)
-        toks.push_back("rfp");
-    if (m.constable.enabled) {
-        std::string t = "constable";
-        bool all = m.constable.eliminatePcRel &&
-                   m.constable.eliminateStackRel &&
-                   m.constable.eliminateRegRel;
-        if (!all) {
-            bool anyMode = false;
-            if (m.constable.eliminatePcRel) {
-                t += ":pcrel";
-                anyMode = true;
-            }
-            if (m.constable.eliminateStackRel) {
-                t += ":stackrel";
-                anyMode = true;
-            }
-            if (m.constable.eliminateRegRel) {
-                t += ":regrel";
-                anyMode = true;
-            }
-            if (!anyMode)
-                t += ":none";
-        }
-        if (!m.constable.cvBitPinning)
-            t += ":amt-i";
-        if (!m.constable.wrongPathUpdates)
-            t += ":no-wrong-path";
-        toks.push_back(t);
-    }
-    switch (m.ideal.mode) {
-      case IdealMode::None:
-        break;
-      case IdealMode::StableLvp:
-        toks.push_back("ideal:stable-lvp");
-        break;
-      case IdealMode::StableLvpNoFetch:
-        toks.push_back("ideal:stable-lvp-nofetch");
-        break;
-      case IdealMode::Constable:
-        toks.push_back("ideal:constable");
-        break;
-    }
-    if (toks.empty())
-        return "baseline";
-    std::string out;
-    for (size_t i = 0; i < toks.size(); ++i) {
-        if (i)
-            out += ' ';
-        out += toks[i];
-    }
-    return out;
+    m.eves = true;
+    return m;
 }
+
+MechanismConfig
+withElar(MechanismConfig m = MechanismConfig{})
+{
+    m.elar = true;
+    return m;
+}
+
+MechanismConfig
+withRfp(MechanismConfig m = MechanismConfig{})
+{
+    m.rfp = true;
+    return m;
+}
+
+/** A Fig 7 oracle; build() fills its stable-PC set per row. */
+MechanismConfig
+oracle(IdealMode mode)
+{
+    MechanismConfig m;
+    m.ideal.mode = mode;
+    return m;
+}
+
+/** Constable eliminating only the addressing modes switched on here. */
+ConstableConfig
+onlyModes(bool pc_rel, bool stack_rel, bool reg_rel)
+{
+    ConstableConfig c;
+    c.eliminatePcRel = pc_rel;
+    c.eliminateStackRel = stack_rel;
+    c.eliminateRegRel = reg_rel;
+    return c;
+}
+
+} // namespace
 
 // ------------------------------------------------------ MechanismRegistry
 
@@ -188,43 +81,51 @@ MechanismRegistry::MechanismRegistry()
     // Fig 13 addressing-mode filters, the Fig 22 AMT-I variant, then the
     // Fig 7 oracles. The golden-snapshot test and constable-sweep iterate
     // this order.
+    ConstableConfig amtI;
+    amtI.cvBitPinning = false;
     presets_ = {
-        { "baseline", "baseline",
-          "MRN + move/zero elimination + folding (always-on baseline)",
-          false },
-        { "constable", "constable",
-          "Constable load elimination (the paper's mechanism)", false },
-        { "eves", "eves", "EVES load value prediction (CVP-1 winner)",
-          false },
-        { "eves+constable", "eves constable", "EVES on top of Constable",
-          false },
-        { "elar", "elar", "Early Load Address Resolution (stack loads)",
-          false },
-        { "rfp", "rfp", "Register File Prefetching (ISCA'22)", false },
-        { "elar+constable", "elar constable", "ELAR on top of Constable",
-          false },
-        { "rfp+constable", "rfp constable", "RFP on top of Constable",
-          false },
-        { "constable-pcrel", "constable:pcrel",
-          "Constable, PC-relative loads only (Fig 13)", false },
-        { "constable-stackrel", "constable:stackrel",
-          "Constable, stack-relative loads only (Fig 13)", false },
-        { "constable-regrel", "constable:regrel",
-          "Constable, register-relative loads only (Fig 13)", false },
-        { "constable-amt-i", "constable:amt-i",
-          "Constable-AMT-I: AMT invalidated on L1D eviction (Fig 22)",
-          false },
-        { "ideal-stable-lvp", "ideal:stable-lvp",
-          "oracle: perfect value prediction of global-stable loads (Fig 7)",
-          true },
-        { "ideal-stable-lvp-nofetch", "ideal:stable-lvp-nofetch",
-          "oracle: perfect prediction + data-fetch elimination (Fig 7)",
-          true },
-        { "ideal-constable", "ideal:constable",
-          "oracle: full elimination of global-stable loads (Fig 7)", true },
-        { "eves+ideal-constable", "eves ideal:constable",
-          "EVES on top of the ideal-Constable oracle (Fig 11/16 bound)",
-          true },
+        preset("baseline",
+               "MRN + move/zero elimination + folding (always-on baseline)",
+               MechanismConfig{}),
+        preset("constable",
+               "Constable load elimination (the paper's mechanism)",
+               withConstable()),
+        preset("eves", "EVES load value prediction (CVP-1 winner)",
+               withEves()),
+        preset("eves+constable", "EVES on top of Constable",
+               withEves(withConstable())),
+        preset("elar", "Early Load Address Resolution (stack loads)",
+               withElar()),
+        preset("rfp", "Register File Prefetching (ISCA'22)", withRfp()),
+        preset("elar+constable", "ELAR on top of Constable",
+               withElar(withConstable())),
+        preset("rfp+constable", "RFP on top of Constable",
+               withRfp(withConstable())),
+        preset("constable-pcrel",
+               "Constable, PC-relative loads only (Fig 13)",
+               withConstable(onlyModes(true, false, false))),
+        preset("constable-stackrel",
+               "Constable, stack-relative loads only (Fig 13)",
+               withConstable(onlyModes(false, true, false))),
+        preset("constable-regrel",
+               "Constable, register-relative loads only (Fig 13)",
+               withConstable(onlyModes(false, false, true))),
+        preset("constable-amt-i",
+               "Constable-AMT-I: AMT invalidated on L1D eviction (Fig 22)",
+               withConstable(amtI)),
+        preset("ideal-stable-lvp",
+               "oracle: perfect value prediction of global-stable loads "
+               "(Fig 7)",
+               oracle(IdealMode::StableLvp)),
+        preset("ideal-stable-lvp-nofetch",
+               "oracle: perfect prediction + data-fetch elimination (Fig 7)",
+               oracle(IdealMode::StableLvpNoFetch)),
+        preset("ideal-constable",
+               "oracle: full elimination of global-stable loads (Fig 7)",
+               oracle(IdealMode::Constable)),
+        preset("eves+ideal-constable",
+               "EVES on top of the ideal-Constable oracle (Fig 11/16 bound)",
+               withEves(oracle(IdealMode::Constable))),
     };
     for (size_t i = 0; i < presets_.size(); ++i)
         byName_[presets_[i].name] = i;
@@ -259,14 +160,19 @@ MechanismConfig
 MechanismRegistry::build(const std::string& name,
                          const std::unordered_set<PC>* gs) const
 {
-    return parseMechanismSpec(get(name).spec, gs);
+    const MechanismPreset& p = get(name);
+    MechanismConfig m = p.config;
+    if (p.perRow && gs)
+        m.ideal.stablePcs = *gs;
+    return m;
 }
 
-size_t
+void
 appendPresetNames(const std::string& what, const std::string& list,
                   std::vector<std::string>& out)
 {
-    size_t added = 0;
+    const MechanismRegistry& reg = MechanismRegistry::instance();
+    bool any = false;
     size_t start = 0;
     while (start <= list.size()) {
         size_t comma = list.find(',', start);
@@ -274,20 +180,22 @@ appendPresetNames(const std::string& what, const std::string& list,
                                ? list.substr(start)
                                : list.substr(start, comma - start);
         if (!name.empty()) {
-            MechanismRegistry::instance().get(name); // fatal if unknown
+            reg.get(name); // fatal if unknown
             for (const std::string& prev : out) {
                 if (prev == name)
                     fatal(what + ": duplicate mechanism preset '" + name +
                           "'");
             }
             out.push_back(name);
-            ++added;
+            any = true;
         }
         if (comma == std::string::npos)
             break;
         start = comma + 1;
     }
-    return added;
+    if (!any)
+        fatal(what + " names no mechanism presets (known: " +
+              reg.nameList() + ")");
 }
 
 std::string

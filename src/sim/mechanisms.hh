@@ -1,19 +1,16 @@
 /**
  * @file
- * MechanismRegistry: the named, enumerable, serializable catalogue of every
- * mechanism preset the paper evaluates (§8.4 baselines and combinations,
- * the Fig 7 oracles, the Fig 13 addressing-mode filters, the Fig 22 AMT-I
- * variant). Benches, tools and tests resolve presets by name --
+ * MechanismRegistry: the named, enumerable catalogue of every mechanism
+ * preset the paper evaluates (§8.4 baselines and combinations, the Fig 7
+ * oracles, the Fig 13 addressing-mode filters, the Fig 22 AMT-I variant).
+ * Benches, tools and tests resolve presets by name --
  * `mechFor("eves+constable")` -- instead of calling per-preset factory
  * functions, so a new preset is one registry entry, not a code change in
- * every driver, and `--mech=<name>` / scenario files can name any of them
- * at run time.
+ * every driver, and `constable-sweep --mech=<name>` can run any of them.
  *
- * Each preset carries a *spec*: a compact textual serialization of its
- * MechanismConfig ("eves constable:pcrel:amt-i"). parseMechanismSpec() and
- * mechanismSpec() round-trip the preset space exactly; the registry test
- * locks that, and the golden-snapshot test proves registry-built configs
- * are bit-identical to the hand-built ones they replaced.
+ * Each preset is a plain MechanismConfig value; the golden-snapshot test
+ * proves registry-built configs are bit-identical to the hand-built ones
+ * they replaced.
  */
 
 #ifndef CONSTABLE_SIM_MECHANISMS_HH
@@ -32,38 +29,15 @@ namespace constable {
 struct MechanismPreset
 {
     std::string name;        ///< registry key ("eves+constable")
-    std::string spec;        ///< serialized MechanismConfig (see file header)
     std::string description; ///< one-liner for --help / README tables
-    /** Oracle presets need the row's offline-identified global-stable PC
-     *  set; Experiment::addPreset() turns them into per-row factories. */
+    /** The preset's mechanisms; an oracle's stablePcs set is left empty
+     *  for MechanismRegistry::build() to fill per row. */
+    MechanismConfig config;
+    /** Oracle presets (config.ideal.mode != None) need the row's
+     *  offline-identified global-stable PC set; Experiment::addPreset()
+     *  turns them into per-row factories. */
     bool perRow = false;
 };
-
-/**
- * Parse a mechanism spec into a MechanismConfig. Grammar (whitespace-
- * separated tokens; fatal() on anything unknown):
- *
- *   baseline                      explicit no-op (MRN stays on)
- *   no-mrn                        drop MRN from the baseline
- *   eves | elar | rfp             enable that technique
- *   constable[:MOD[:MOD...]]      enable Constable; modifiers:
- *       pcrel|stackrel|regrel     restrict elimination to listed modes
- *       none                      eliminate nothing (sensitivity studies)
- *       amt-i                     AMT invalidate-on-evict (no CV pinning)
- *       no-wrong-path             wrong-path renames skip RMT/SLD
- *   ideal:stable-lvp | ideal:stable-lvp-nofetch | ideal:constable
- *                                 Fig 7 oracle over @p gs
- *
- * @param gs stable-PC set consumed by ideal:* tokens (empty oracle set
- *        when null, matching a run without offline inspection).
- */
-MechanismConfig parseMechanismSpec(const std::string& spec,
-                                   const std::unordered_set<PC>* gs =
-                                       nullptr);
-
-/** Canonical spec of a config: parseMechanismSpec(mechanismSpec(m))
- *  rebuilds m for every config reachable from the grammar above. */
-std::string mechanismSpec(const MechanismConfig& m);
 
 class MechanismRegistry
 {
@@ -81,7 +55,9 @@ class MechanismRegistry
     /** Lookup; fatal() (listing all known names) when unknown. */
     const MechanismPreset& get(const std::string& name) const;
 
-    /** Build the preset's MechanismConfig; @p gs feeds ideal presets. */
+    /** The preset's MechanismConfig; @p gs becomes an oracle preset's
+     *  stable-PC set (empty when null, as in a run without offline
+     *  inspection) and is ignored by every other preset. */
     MechanismConfig build(const std::string& name,
                           const std::unordered_set<PC>* gs = nullptr) const;
 
@@ -104,14 +80,12 @@ mechFor(const std::string& preset, const std::unordered_set<PC>* gs = nullptr)
 
 /**
  * Split a comma-separated preset list, validate every name against the
- * registry, reject names already in @p out, and append. The one parser
- * behind both `--mech=` / CONSTABLE_MECH and scenario-file `mech`
- * directives, so both report unknown and duplicate names identically.
+ * registry and append it to @p out. fatal() on an unknown name, on a name
+ * already in @p out, and on a list that names nothing (",").
  * @param what names the source in fatal() messages.
- * @return number of names appended.
  */
-size_t appendPresetNames(const std::string& what, const std::string& list,
-                         std::vector<std::string>& out);
+void appendPresetNames(const std::string& what, const std::string& list,
+                       std::vector<std::string>& out);
 
 } // namespace constable
 

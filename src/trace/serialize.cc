@@ -7,7 +7,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdio>
@@ -652,86 +651,6 @@ traceCachePath(const std::string& dir, const WorkloadSpec& spec)
     std::snprintf(hex, sizeof(hex), "%016llx",
                   static_cast<unsigned long long>(specHash(spec)));
     return dir + "/" + name + "-" + hex + ".trace";
-}
-
-// ---------------------------------------------------------------- cache trim
-
-size_t
-trimTraceCache(const std::string& dir, const TraceCacheTrimPolicy& policy)
-{
-    namespace fs = std::filesystem;
-    if (!policy.enabled())
-        return 0;
-    std::error_code ec;
-    if (!fs::is_directory(dir, ec) || ec)
-        return 0;
-
-    struct CacheFile
-    {
-        fs::path path;
-        uint64_t size = 0;
-        fs::file_time_type mtime;
-    };
-    std::vector<CacheFile> files;
-    uint64_t totalBytes = 0;
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
-        if (ec)
-            return 0;
-        if (!entry.is_regular_file(ec) ||
-            entry.path().extension() != ".trace")
-            continue;
-        CacheFile f;
-        f.path = entry.path();
-        f.size = entry.file_size(ec);
-        if (ec)
-            continue;
-        f.mtime = entry.last_write_time(ec);
-        if (ec)
-            continue;
-        totalBytes += f.size;
-        files.push_back(std::move(f));
-    }
-
-    size_t deleted = 0;
-    auto remove = [&](const CacheFile& f) {
-        std::error_code rec;
-        if (fs::remove(f.path, rec) && !rec) {
-            totalBytes -= f.size;
-            ++deleted;
-            return true;
-        }
-        return false;
-    };
-
-    // Age cap: anything older than maxAgeSeconds goes, regardless of size.
-    if (policy.maxAgeSeconds != 0) {
-        auto cutoff = fs::file_time_type::clock::now() -
-                      std::chrono::seconds(policy.maxAgeSeconds);
-        std::vector<CacheFile> kept;
-        kept.reserve(files.size());
-        for (CacheFile& f : files) {
-            if (f.mtime < cutoff)
-                remove(f);
-            else
-                kept.push_back(std::move(f));
-        }
-        files = std::move(kept);
-    }
-
-    // Size cap: evict least-recently-modified first (the generate-or-load
-    // path rewrites entries it regenerates, so mtime tracks usefulness).
-    if (policy.maxBytes != 0 && totalBytes > policy.maxBytes) {
-        std::sort(files.begin(), files.end(),
-                  [](const CacheFile& a, const CacheFile& b) {
-                      return a.mtime < b.mtime;
-                  });
-        for (const CacheFile& f : files) {
-            if (totalBytes <= policy.maxBytes)
-                break;
-            remove(f);
-        }
-    }
-    return deleted;
 }
 
 } // namespace constable

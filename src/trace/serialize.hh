@@ -155,32 +155,6 @@ uint64_t specHash(const WorkloadSpec& spec);
  *  <dir>/<sanitized name>-<16-hex specHash>.trace */
 std::string traceCachePath(const std::string& dir, const WorkloadSpec& spec);
 
-// -------------------------------------------------------------- cache trim
-
-/**
- * Age/LRU retention policy for a trace-cache directory. Both caps default
- * to 0 = unlimited, so trimming is strictly opt-in (long-lived CI cache
- * dirs set CONSTABLE_TRACE_CACHE_MAX_MB / _MAX_AGE_DAYS; see
- * ExperimentOptions).
- */
-struct TraceCacheTrimPolicy
-{
-    uint64_t maxBytes = 0;      ///< total *.trace size cap; 0 = uncapped
-    uint64_t maxAgeSeconds = 0; ///< per-file age cap; 0 = uncapped
-
-    bool enabled() const { return maxBytes != 0 || maxAgeSeconds != 0; }
-};
-
-/**
- * Enforce a trim policy over the *.trace files of a cache directory:
- * first drop entries older than maxAgeSeconds, then drop
- * least-recently-modified entries until the directory fits maxBytes.
- * Non-trace files are never touched; a missing directory is a no-op.
- * @return number of files deleted.
- */
-size_t trimTraceCache(const std::string& dir,
-                      const TraceCacheTrimPolicy& policy);
-
 } // namespace constable
 
 #endif

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -681,108 +680,6 @@ TEST(Suite, FromTracesSupportsHandBuiltWorkloads)
     edited[0].ops[0].value ^= 1;
     Suite editedSuite = Suite::fromTraces(std::move(edited));
     EXPECT_NE(editedSuite.contentHash(), suite.contentHash());
-}
-
-// ----------------------------------------------------------- cache trimming
-
-class CacheTrim : public TempDirTest
-{
-  protected:
-    /** Drop a file of @p bytes into the cache dir, backdated by @p ageSec. */
-    std::string
-    put(const std::string& name, size_t bytes, uint64_t age_sec = 0)
-    {
-        std::string p = dir + "/" + name;
-        std::ofstream f(p, std::ios::binary);
-        f << std::string(bytes, 'x');
-        f.close();
-        if (age_sec) {
-            fs::last_write_time(p, fs::file_time_type::clock::now() -
-                                       std::chrono::seconds(age_sec));
-        }
-        return p;
-    }
-
-    size_t
-    filesLeft() const
-    {
-        size_t n = 0;
-        for (const auto& e : fs::directory_iterator(dir)) {
-            (void)e;
-            ++n;
-        }
-        return n;
-    }
-};
-
-TEST_F(CacheTrim, DisabledPolicyIsNoOp)
-{
-    put("a.trace", 1000, 3600);
-    put("b.trace", 1000);
-    EXPECT_EQ(trimTraceCache(dir, TraceCacheTrimPolicy{}), 0u);
-    EXPECT_EQ(filesLeft(), 2u);
-}
-
-TEST_F(CacheTrim, MissingDirectoryIsNoOp)
-{
-    TraceCacheTrimPolicy p;
-    p.maxBytes = 1;
-    EXPECT_EQ(trimTraceCache(dir + "/does-not-exist", p), 0u);
-}
-
-TEST_F(CacheTrim, AgeCapDropsOnlyOldEntries)
-{
-    put("old.trace", 100, 10'000);
-    put("fresh.trace", 100);
-    TraceCacheTrimPolicy p;
-    p.maxAgeSeconds = 5'000;
-    EXPECT_EQ(trimTraceCache(dir, p), 1u);
-    EXPECT_FALSE(fs::exists(dir + "/old.trace"));
-    EXPECT_TRUE(fs::exists(dir + "/fresh.trace"));
-}
-
-TEST_F(CacheTrim, SizeCapEvictsLeastRecentlyModifiedFirst)
-{
-    put("oldest.trace", 600, 3000);
-    put("middle.trace", 600, 2000);
-    put("newest.trace", 600, 1000);
-    TraceCacheTrimPolicy p;
-    p.maxBytes = 1300; // fits two of three
-    EXPECT_EQ(trimTraceCache(dir, p), 1u);
-    EXPECT_FALSE(fs::exists(dir + "/oldest.trace"));
-    EXPECT_TRUE(fs::exists(dir + "/middle.trace"));
-    EXPECT_TRUE(fs::exists(dir + "/newest.trace"));
-}
-
-TEST_F(CacheTrim, NonTraceFilesAreNeverTouched)
-{
-    put("huge.bin", 100'000, 50'000);
-    put("cache.trace", 100, 50'000);
-    TraceCacheTrimPolicy p;
-    p.maxBytes = 1; // far exceeded, but only by the non-trace file
-    p.maxAgeSeconds = 1;
-    EXPECT_EQ(trimTraceCache(dir, p), 1u);
-    EXPECT_TRUE(fs::exists(dir + "/huge.bin"));
-    EXPECT_FALSE(fs::exists(dir + "/cache.trace"));
-}
-
-TEST_F(CacheTrim, SuitePreparationAppliesPolicyAndKeepsLiveEntries)
-{
-    // A stale multi-MB entry from a long-gone spec shares the dir with the
-    // live suite: the size cap must evict the stale file, never the traces
-    // the suite just wrote or (touched) re-read.
-    put("stale.trace", 2 * 1024 * 1024, 100'000);
-    ExperimentOptions opts = serialOpts();
-    opts.traceDir = dir;
-    opts.traceCacheMaxMB = 1;
-
-    Suite cold = Suite::fromSpecs(twoSpecs(), opts);
-    EXPECT_EQ(cold.cacheMisses(), 2u);
-    EXPECT_FALSE(fs::exists(dir + "/stale.trace"));
-
-    // The live entries survived the trim and serve hits.
-    Suite warm = Suite::fromSpecs(twoSpecs(), opts);
-    EXPECT_EQ(warm.cacheHits(), 2u);
 }
 
 } // namespace

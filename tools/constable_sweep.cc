@@ -1,14 +1,20 @@
 /**
  * @file
- * constable-sweep: the coordinator CLI for sharded multi-process sweeps.
- * Runs the paper's full mechanism-preset matrix (16 named configurations x
- * the 90-trace suite) through the Experiment API and prints per-preset
- * geomean speedups plus a byte-level result fingerprint (FNV chained over
- * every cell's serialized RunResult, in row-major order) so runs at
- * different shard/thread counts can be diffed for bit-identity.
+ * constable-sweep: the one program that runs a sweep chosen by preset
+ * name, and the coordinator CLI for sharded multi-process sweeps. Runs
+ * registry presets (by default all 16, in canonical order; `--mech=<name>
+ * [,<name>...]` picks others) over the 90-trace suite, or over its SMT2
+ * trace pairs with `--smt`, through the Experiment API, and prints
+ * geomean speedups over the first preset plus a byte-level result
+ * fingerprint (FNV chained over every cell's serialized RunResult, in
+ * row-major order) so runs at different shard/thread counts can be
+ * diffed for bit-identity. Every verb below takes the same preset list.
  *
  * Single machine, 4 worker processes:
  *   constable-sweep --shards=4
+ *
+ * A subset, or the SMT2 pairs:
+ *   constable-sweep --mech=baseline,constable,eves+constable --smt
  *
  * Fleet on a shared filesystem (one process per machine; any worker can
  * also crash and be replaced — its leased cells are reclaimed):
@@ -42,17 +48,6 @@
 
 namespace constable {
 namespace {
-
-/** Every registry preset (the golden-snapshot set: §8.4 plus the Fig 7
- *  oracles, Fig 13 mode filters, Fig 22 AMT-I), in canonical order. */
-Experiment
-presetExperiment(const Suite& suite, const ExperimentOptions& opts)
-{
-    Experiment exp("presets", suite, opts);
-    for (const MechanismPreset& p : MechanismRegistry::instance().presets())
-        exp.addPreset(p.name);
-    return exp;
-}
 
 /** The --status verb: find every status.json under the checkpoint root
  *  (the root itself plus one level of sweep subdirectories) and render
@@ -96,12 +91,13 @@ statusMain(const ExperimentOptions& opts)
     return 0;
 }
 
-/** The --sample-check verb: run the full preset matrix twice over the
- *  same suite — full fidelity and phase-sampled — and gate the per-preset
+/** The --sample-check verb: run the preset matrix twice over the same
+ *  suite — full fidelity and phase-sampled — and gate each preset's
  *  geomean cycle error against @p bound_pct. This is the accuracy contract
  *  behind the README's error-bound claim; CI runs it on every push. */
 int
-sampleCheckMain(ExperimentOptions opts, double bound_pct)
+sampleCheckMain(const Scenario& sc, const Suite& suite,
+                ExperimentOptions opts, double bound_pct)
 {
     using clock = std::chrono::steady_clock;
     if (!opts.sample.enabled)
@@ -109,14 +105,10 @@ sampleCheckMain(ExperimentOptions opts, double bound_pct)
     ExperimentOptions fullOpts = opts;
     fullOpts.sample = SampleOptions{}; // full fidelity
 
-    Suite suite = Suite::prepare(opts, /*inspect=*/true);
-
     auto t0 = clock::now();
-    Experiment fullExp = presetExperiment(suite, fullOpts);
-    ExperimentResult full = fullExp.run();
+    ExperimentResult full = runScenario(sc, suite, fullOpts);
     auto t1 = clock::now();
-    Experiment sampExp = presetExperiment(suite, opts);
-    ExperimentResult samp = sampExp.run();
+    ExperimentResult samp = runScenario(sc, suite, opts);
     auto t2 = clock::now();
     double fullSec = std::chrono::duration<double>(t1 - t0).count();
     double sampSec = std::chrono::duration<double>(t2 - t1).count();
@@ -125,8 +117,7 @@ sampleCheckMain(ExperimentOptions opts, double bound_pct)
                 opts.sample.spec().c_str(), bound_pct, full.numRows());
     std::printf("%-24s %12s %12s\n", "preset", "geomean-err", "max-row-err");
     bool pass = true;
-    for (const MechanismPreset& p : MechanismRegistry::instance().presets()) {
-        size_t cfg = full.configIndex(p.name);
+    for (size_t cfg = 0; cfg < sc.mechs.size(); ++cfg) {
         double logSum = 0.0;
         double maxErr = 0.0;
         for (size_t row = 0; row < full.numRows(); ++row) {
@@ -140,7 +131,7 @@ sampleCheckMain(ExperimentOptions opts, double bound_pct)
         double err = std::fabs(geo - 1.0) * 100.0;
         bool ok = err <= bound_pct;
         pass = pass && ok;
-        std::printf("%-24s %+11.3f%% %11.3f%%%s\n", p.name.c_str(),
+        std::printf("%-24s %+11.3f%% %11.3f%%%s\n", sc.mechs[cfg].c_str(),
                     (geo - 1.0) * 100.0, maxErr * 100.0,
                     ok ? "" : "  <-- over bound");
     }
@@ -157,6 +148,7 @@ sweepMain(int argc, char** argv)
     bool statusOnly = false;
     bool sampleCheck = false;
     double sampleCheckBound = 3.0;
+    Scenario sc;
     std::vector<char*> rest;
     rest.push_back(argc > 0 ? argv[0] : const_cast<char*>("constable-sweep"));
     for (int i = 1; i < argc; ++i) {
@@ -164,6 +156,14 @@ sweepMain(int argc, char** argv)
             mergeOnly = true;
         } else if (std::strcmp(argv[i], "--status") == 0) {
             statusOnly = true;
+        } else if (std::strcmp(argv[i], "--smt") == 0) {
+            sc.smt = true;
+        } else if (std::strncmp(argv[i], "--mech=", 7) == 0) {
+            appendPresetNames("--mech", argv[i] + 7, sc.mechs);
+        } else if (std::strcmp(argv[i], "--mech") == 0) {
+            if (i + 1 >= argc)
+                fatal("--mech requires a value (see --help)");
+            appendPresetNames("--mech", argv[++i], sc.mechs);
         } else if (std::strncmp(argv[i], "--sample-check", 14) == 0) {
             sampleCheck = true;
             if (argv[i][14] != '\0' && argv[i][14] != '=')
@@ -178,6 +178,12 @@ sweepMain(int argc, char** argv)
                 std::strcmp(argv[i], "-h") == 0) {
                 std::printf(
                     "constable-sweep extra options:\n"
+                    "  --mech=NAME[,NAME...]\n"
+                    "                 the registry presets to sweep, first\n"
+                    "                 = speedup base (default: all, in the\n"
+                    "                 order listed below); repeatable\n"
+                    "  --smt          sweep the SMT2 trace pairs instead\n"
+                    "                 of one row per trace\n"
                     "  --merge-only   assemble the matrix from an existing\n"
                     "                 checkpoint dir; simulate nothing and\n"
                     "                 fail if any cell is missing\n"
@@ -186,14 +192,21 @@ sweepMain(int argc, char** argv)
                     "                 and exit; works from another process\n"
                     "                 while the sweep runs\n"
                     "  --sample-check[=PCT]\n"
-                    "                 run the preset matrix full-fidelity\n"
-                    "                 AND sampled (--sample spec, or the\n"
+                    "                 run the presets full-fidelity AND\n"
+                    "                 sampled (--sample spec, or the\n"
                     "                 default), then fail if any preset's\n"
                     "                 geomean cycle error exceeds PCT\n"
-                    "                 (default 3%%)\n");
+                    "                 (default 3%%)\n"
+                    "Mechanism presets: %s\n",
+                    MechanismRegistry::instance().nameList().c_str());
             }
             rest.push_back(argv[i]);
         }
+    }
+    if (sc.mechs.empty()) {
+        for (const MechanismPreset& p :
+             MechanismRegistry::instance().presets())
+            sc.mechs.push_back(p.name);
     }
 
     ExperimentOptions opts = ExperimentOptions::fromArgs(
@@ -201,35 +214,16 @@ sweepMain(int argc, char** argv)
 
     if (statusOnly)
         return statusMain(opts);
-    if (sampleCheck)
-        return sampleCheckMain(opts, sampleCheckBound);
-
-    // --mech / --scenario run a named registry sweep instead of the full
-    // 16-preset matrix (sim/scenario.hh).
-    if (runNamedSweepIfRequested("sweep", opts))
-        return 0;
+    if (sampleCheck && (mergeOnly || sc.smt))
+        fatal("--sample-check runs its own two sweeps of single-trace rows; "
+              "it takes neither --merge-only nor --smt");
 
     Suite suite = Suite::prepare(opts, /*inspect=*/true);
-    Experiment exp = presetExperiment(suite, opts);
-    ExperimentResult res = mergeOnly ? exp.merge() : exp.run();
-
-    if (!opts.printsReport())
-        return 0;
-
-    std::vector<std::vector<double>> series;
-    std::vector<std::string> names = {
-        "constable", "eves", "eves+constable", "elar+constable",
-        "rfp+constable", "ideal-constable",
-    };
-    for (const std::string& n : names)
-        series.push_back(res.speedups(n, "baseline"));
-    res.printGeomeans("constable-sweep: preset speedups over baseline",
-                      series, names);
-    std::printf("\ncells: %zu (%zu resumed from prior checkpoints)\n",
-                res.matrix().results.size(), res.resumedCells());
-    std::printf("result fingerprint: %016llx\n",
-                static_cast<unsigned long long>(
-                    resultFingerprint(res.matrix())));
+    if (sampleCheck)
+        return sampleCheckMain(sc, suite, opts, sampleCheckBound);
+    ExperimentResult res = runScenario(sc, suite, opts, mergeOnly);
+    if (opts.printsReport())
+        printScenarioReport(sc, res);
     return 0;
 }
 
