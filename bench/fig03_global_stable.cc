@@ -19,11 +19,6 @@ main(int argc, char** argv)
     auto opts = ExperimentOptions::fromArgs(argc, argv);
     Suite suite = Suite::prepare(opts);
 
-    // Offline study: no matrix cells to share, so non-reporting shards of
-    // a fleet just stay silent (the reporting shard prints everything).
-    if (!opts.printsReport())
-        return 0;
-
     std::vector<std::vector<double>> fracs(1);
     std::vector<std::vector<double>> modes(3);
     std::vector<std::vector<double>> dist(4);

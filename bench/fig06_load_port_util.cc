@@ -21,11 +21,6 @@ main(int argc, char** argv)
                    .addPreset("eves")
                    .run();
 
-    // Sharded fleets: every worker computed (and merged) the full
-    // matrix above; only the reporting shard prints it.
-    if (!opts.printsReport())
-        return 0;
-
     std::vector<std::vector<double>> util(1), cat(3);
     for (size_t i = 0; i < suite.size(); ++i) {
         const StatSet& s = res.at(i, "eves").stats;

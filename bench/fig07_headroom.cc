@@ -28,11 +28,6 @@ main(int argc, char** argv)
             .addPreset("ideal-constable")
             .run();
 
-    // Sharded fleets: every worker computed (and merged) the full
-    // matrix above; only the reporting shard prints it.
-    if (!opts.printsReport())
-        return 0;
-
     res.printGeomeans(
         "Fig 7: headroom over baseline "
         "(paper: LVP 1.043, LVP+noFetch 1.067, 2xWidth 1.088, Ideal 1.091)",

@@ -28,11 +28,6 @@ main(int argc, char** argv)
                    .add("noWrongPath", noWp)
                    .run();
 
-    // Sharded fleets: every worker computed (and merged) the full
-    // matrix above; only the reporting shard prints it.
-    if (!opts.printsReport())
-        return 0;
-
     std::vector<double> updates =
         res.statColumn("constable", "sld.updates.perCycle");
     double leTwoSum = 0;

@@ -28,11 +28,6 @@ main(int argc, char** argv)
             .addPreset("eves+ideal-constable")
             .run();
 
-    // Sharded fleets: every worker computed (and merged) the full
-    // matrix above; only the reporting shard prints it.
-    if (!opts.printsReport())
-        return 0;
-
     res.printGeomeans(
         "Fig 11: speedup over baseline, noSMT "
         "(paper: EVES 1.047, Constable 1.051, E+C 1.085, E+Ideal 1.103)",

@@ -31,11 +31,6 @@ main(int argc, char** argv)
                    .addPreset("eves+constable")
                    .run();
 
-    // Sharded fleets: every worker computed (and merged) the full
-    // matrix above; only the reporting shard prints it.
-    if (!opts.printsReport())
-        return 0;
-
     auto se = res.speedups("eves", "baseline");
     auto sc = res.speedups("constable", "baseline");
     auto sb = res.speedups("eves+constable", "baseline");

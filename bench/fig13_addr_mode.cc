@@ -25,11 +25,6 @@ main(int argc, char** argv)
                    .addPreset("constable")
                    .run();
 
-    // Sharded fleets: every worker computed (and merged) the full
-    // matrix above; only the reporting shard prints it.
-    if (!opts.printsReport())
-        return 0;
-
     res.printGeomeans(
         "Fig 13: speedup by eliminated addressing mode "
         "(paper: PC 1.011, stack 1.026, reg 1.018, all 1.051)",

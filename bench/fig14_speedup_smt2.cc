@@ -29,11 +29,6 @@ main(int argc, char** argv)
                    .addPreset("eves+constable")
                    .runSmt();
 
-    // Sharded fleets: every worker computed (and merged) the full
-    // matrix above; only the reporting shard prints it.
-    if (!opts.printsReport())
-        return 0;
-
     std::printf("Fig 14: SMT2 speedup over baseline, %zu pairs "
                 "(paper: EVES 1.036, Constable 1.088, E+C 1.113)\n",
                 res.numRows());

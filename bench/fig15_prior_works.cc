@@ -24,11 +24,6 @@ main(int argc, char** argv)
                    .addPreset("rfp+constable")
                    .run();
 
-    // Sharded fleets: every worker computed (and merged) the full
-    // matrix above; only the reporting shard prints it.
-    if (!opts.printsReport())
-        return 0;
-
     res.printGeomeans(
         "Fig 15: Constable vs prior works "
         "(paper: ELAR 1.007, RFP 1.045, Const 1.051, E+C 1.054, R+C 1.081)",

@@ -23,11 +23,6 @@ main(int argc, char** argv)
             .addPreset("eves+ideal-constable")
             .run();
 
-    // Sharded fleets: every worker computed (and merged) the full
-    // matrix above; only the reporting shard prints it.
-    if (!opts.printsReport())
-        return 0;
-
     auto coverage = [&](const std::string& cfg) {
         std::vector<double> out;
         for (size_t i = 0; i < suite.size(); ++i) {

@@ -23,11 +23,6 @@ main(int argc, char** argv)
                    .addPreset("constable")
                    .run();
 
-    // Sharded fleets: every worker computed (and merged) the full
-    // matrix above; only the reporting shard prints it.
-    if (!opts.printsReport())
-        return 0;
-
     std::vector<std::vector<double>> rows(3);
     std::vector<std::vector<double>> perMode(3);
     for (size_t i = 0; i < suite.size(); ++i) {

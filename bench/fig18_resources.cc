@@ -22,11 +22,6 @@ main(int argc, char** argv)
                    .addPreset("constable")
                    .run();
 
-    // Sharded fleets: every worker computed (and merged) the full
-    // matrix above; only the reporting shard prints it.
-    if (!opts.printsReport())
-        return 0;
-
     std::vector<double> rs, l1d;
     for (size_t i = 0; i < suite.size(); ++i) {
         const StatSet& c = res.at(i, "constable").stats;

@@ -25,11 +25,6 @@ main(int argc, char** argv)
                    .addPreset("eves+constable")
                    .run();
 
-    // Sharded fleets: every worker computed (and merged) the full
-    // matrix above; only the reporting shard prints it.
-    if (!opts.printsReport())
-        return 0;
-
     struct Agg
     {
         double total = 0, rs = 0, rat = 0, rob = 0, l1d = 0, dtlb = 0,

@@ -42,11 +42,6 @@ main(int argc, char** argv)
     }
     auto dres = depth.run();
 
-    // Sharded fleets: the gate sits after BOTH sweeps so a non-reporting
-    // shard still contributes cells to each of them.
-    if (!opts.printsReport())
-        return 0;
-
     std::printf("Fig 20(a): load execution width sweep "
                 "(speedup over width-3 baseline)\n");
     std::printf("%8s%12s%12s\n", "width", "baseline", "constable");

@@ -22,11 +22,6 @@ main(int argc, char** argv)
                    .addPreset("constable")
                    .run();
 
-    // Sharded fleets: every worker computed (and merged) the full
-    // matrix above; only the reporting shard prints it.
-    if (!opts.printsReport())
-        return 0;
-
     std::vector<double> viol, robInc;
     unsigned under05 = 0, under1 = 0;
     for (size_t i = 0; i < suite.size(); ++i) {

@@ -42,11 +42,6 @@ main(int argc, char** argv)
     Suite s16 = Suite::fromSpecs(std::move(spec16), opts);
     Suite s32 = Suite::fromSpecs(std::move(spec32), opts);
 
-    // Offline study: no matrix cells to share, so non-reporting shards of
-    // a fleet just stay silent (the reporting shard prints everything).
-    if (!opts.printsReport())
-        return 0;
-
     double lr = 0, g16 = 0, g32 = 0, st16 = 0, st32 = 0, p16 = 0, p32 = 0;
     for (size_t i = 0; i < s16.size(); ++i) {
         const auto& i16 = s16.inspection(i);

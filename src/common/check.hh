@@ -4,7 +4,7 @@
  *
  * CONSTABLE_ASSERT(cond, msg)  O(1) invariant checks on hot paths (ready
  *                              queue live counts, event-wheel bitmap
- *                              agreement, lease protocol steps).
+ *                              agreement).
  * CONSTABLE_DCHECK(cond, msg)  checks that may cost more than a few
  *                              instructions (ordered-list walks, heap
  *                              property probes).

@@ -57,9 +57,8 @@ parseU64Strict(const std::string& what, const std::string& value)
 
 /**
  * parseU64Strict plus an inclusive range check, for knobs where an
- * out-of-range value means a misconfigured fleet rather than a big sweep
- * (CONSTABLE_SHARDS=0, a shard id beyond the shard count, a zero lease
- * TTL that would make every lease instantly reclaimable).
+ * out-of-range value means a misconfiguration rather than a big sweep
+ * (CONSTABLE_SHARDS=0, a thread count beyond the batch cap).
  */
 inline uint64_t
 parseU64InRange(const std::string& what, const std::string& value,

@@ -49,16 +49,6 @@ faultPointTable()
           "loadManifest: reading a sweep manifest" },
         { "sweep.manifest.write", "write",
           "saveManifest: writing a sweep manifest" },
-        { "lease.acquire", "write",
-          "tryAcquireLease: O_CREAT|O_EXCL lease creation" },
-        { "lease.read", "read",
-          "readLease: reading a lease record (commit ownership check)" },
-        { "lease.release", "write",
-          "removeLease: releasing a lease after commit" },
-        { "lease.heartbeat", "write",
-          "LeaseHeartbeat: background mtime refresh of a held lease" },
-        { "lease.age", "clock",
-          "guarded lease age: reader clock vs lease-file mtime" },
     };
     return table;
 }
@@ -77,7 +67,7 @@ struct FaultClause
     std::string point;
     FaultAction action = FaultAction::None;
     /** eio/enospc/torn: inject while hits <= param; crash: fire on the
-     *  param-th hit; skew: seconds of injected skew. */
+     *  param-th hit. */
     uint64_t param = 1;
     uint64_t hits = 0;
     bool announced = false; ///< first injection already reported
@@ -153,10 +143,8 @@ parseAction(const std::string& s, const std::string& clause)
         return FaultAction::Torn;
     if (s == "crash")
         return FaultAction::Crash;
-    if (s == "skew")
-        return FaultAction::Skew;
     fatal("fault plan clause '" + clause + "': unknown action '" + s +
-          "' (eio|enospc|torn|crash|skew)");
+          "' (eio|enospc|torn|crash)");
 }
 
 /** Parse "point:action[@N]" clauses joined by ';' or ','. */
@@ -198,9 +186,7 @@ parsePlan(const std::string& spec)
             actionStr = actionStr.substr(0, at);
         }
         c.action = parseAction(actionStr, clause);
-        if (c.action == FaultAction::Skew && at == std::string::npos)
-            c.param = 300; // default injected skew: 5 minutes
-        if (c.param == 0 && c.action != FaultAction::Skew) {
+        if (c.param == 0) {
             fatal("fault plan clause '" + clause +
                   "': @N must be >= 1 for " + actionStr);
         }
@@ -311,9 +297,8 @@ faultFailedSlow(const char* point)
                     marker = s.markerDir;
                 }
                 break;
-              case FaultAction::Skew:
               case FaultAction::None:
-                break; // polled via faultSkewSeconds(), not here
+                break;
             }
             first = act != FaultAction::None && !c.announced;
             c.announced = c.announced || first;
@@ -359,22 +344,6 @@ faultConsumeTorn()
         return false;
     tl_tornPending = false;
     return true;
-}
-
-double
-faultSkewSeconds(const char* point)
-{
-    if (!detail::faultArmed.load(std::memory_order_relaxed))
-        return 0.0;
-    FaultState& s = state();
-    std::lock_guard<std::mutex> lk(s.mu);
-    for (FaultClause& c : s.clauses) {
-        if (c.point == point && c.action == FaultAction::Skew) {
-            ++c.hits;
-            return static_cast<double>(c.param);
-        }
-    }
-    return 0.0;
 }
 
 bool
@@ -489,8 +458,9 @@ namespace {
 
 /** Per-write unique tmp suffix: pid + process-random nonce + counter.
  *  Sharded sweeps have many processes (and threads) writing into one
- *  directory, possibly targeting the same entry after a lease reclaim; a
- *  pid-only suffix would let two threads of one process collide. */
+ *  directory, possibly targeting the same entry (every shard worker
+ *  rewrites status.json); a pid-only suffix would let two threads of one
+ *  process collide. */
 std::string
 tmpSuffix()
 {

@@ -5,8 +5,8 @@
  * of the whole-file primitives (writeFileAtomic, readFileBytes,
  * readFileText) through which the program commits and reads every file.
  *
- * Each I/O call site (atomic writes, lease create/heartbeat/release,
- * checkpoint and trace-cache reads/writes) names a *fault point* from the
+ * Each I/O call site (atomic writes, checkpoint cell, sweep manifest and
+ * trace-cache reads/writes) names a *fault point* from the
  * central registry (faultPointTable()) and asks faultFailed() whether an
  * armed FaultPlan wants to inject a failure there. With no plan armed —
  * the production and CI-perf configuration — every check is a single
@@ -18,7 +18,7 @@
  *
  *     plan   := clause (';' clause)*            (',' also accepted)
  *     clause := point ':' action ['@' N]
- *     action := eio | enospc | torn | crash | skew
+ *     action := eio | enospc | torn | crash
  *
  *  - eio/enospc fail the point's first N hits (default 1), then heal:
  *    the transient-failure model the retry/backoff policy must absorb.
@@ -29,8 +29,6 @@
  *    CONSTABLE_FAULT_MARKER_DIR is set, the crash first creates a marker
  *    file there with O_EXCL; an existing marker disarms the crash, so a
  *    re-launched process recovers instead of crash-looping.
- *  - skew reports N seconds of clock skew (file mtimes ahead of the
- *    reader's clock) via faultSkewSeconds(); N defaults to 300.
  *
  * Each crash, and the first eio/enospc/torn of each clause, prints one
  * "faultio: injected ..." line on stderr naming the point and, inside
@@ -63,17 +61,16 @@ inline constexpr int kFaultCrashExitCode = 86;
 
 /** What an armed plan wants a call site to do. Call sites only ever see
  *  Eio/Enospc (as `true` from faultFailed); Torn is delivered through the
- *  pending torn-write flag, Crash never returns, Skew is polled separately
- *  via faultSkewSeconds(). */
-enum class FaultAction : uint8_t { None, Eio, Enospc, Torn, Crash, Skew };
+ *  pending torn-write flag, and Crash never returns. */
+enum class FaultAction : uint8_t { None, Eio, Enospc, Torn, Crash };
 
 /** One registered fault point. `kind` drives which actions the faultsweep
  *  driver arms: "read" and "sync" take eio+crash, "write" takes
- *  eio+torn+crash, "clock" takes skew. */
+ *  eio+torn+crash. */
 struct FaultPointInfo
 {
     const char* name; ///< e.g. "ckpt.cell.commit" (the faultFailed() key)
-    const char* kind; ///< "read" | "write" | "sync" | "clock"
+    const char* kind; ///< "read" | "write" | "sync"
     const char* site; ///< human description of the call site
 };
 
@@ -98,7 +95,7 @@ void faultEnsureEnvPlan();
  * The main hook: returns true when the armed plan injects a transient
  * failure (EIO/ENOSPC) at this point — the call site then behaves exactly
  * as if the corresponding syscall failed. Torn arms the pending torn-write
- * flag and returns false; crash does not return; skew is ignored here.
+ * flag and returns false; crash does not return.
  * With no plan armed this is one atomic load.
  */
 inline bool
@@ -113,10 +110,6 @@ faultFailed(const char* point)
  *  at any point on this thread). writeFileAtomic() calls this once per
  *  write; true means "commit only half the payload, report success". */
 bool faultConsumeTorn();
-
-/** Seconds of injected clock skew at a "clock"-kind point (mtimes appear
- *  this far in the future); 0.0 when no skew clause is armed. */
-double faultSkewSeconds(const char* point);
 
 // ------------------------------------------------------ whole-file I/O
 
@@ -171,9 +164,7 @@ void faultLoadEnvPlan();
  *  clauses only; 0 for unknown or never-hit points). */
 uint64_t faultPointHits(const std::string& point);
 
-/** (point, hits) for every clause of the armed plan — what the faultsweep
- *  child prints so the driver can tell a recovered run from a vacuous one
- *  whose fault never fired. */
+/** (point, hits) for every clause of the armed plan, in plan order. */
 std::vector<std::pair<std::string, uint64_t>> faultArmedHits();
 
 // ------------------------------------------------- deterministic retry
@@ -227,7 +218,7 @@ FaultRetryObserver setFaultRetryObserver(FaultRetryObserver fn);
 /**
  * Run `fn` until it returns true, sleeping backoffDelayMs() between
  * tries, up to p.attempts total tries. Returns the final outcome. The
- * transient-failure absorber for lease/commit/manifest writes.
+ * transient-failure absorber for checkpoint commits and manifest writes.
  */
 template <typename Fn>
 bool

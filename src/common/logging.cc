@@ -1,9 +1,5 @@
 #include "common/logging.hh"
 
-#include <map>
-#include <mutex>
-#include <set>
-
 // env.hh includes logging.hh (fatal() backs the strict parsers), so the
 // CONSTABLE_LOG_LEVEL parse lives here, in a .cc that can see both.
 #include "common/env.hh"
@@ -23,41 +19,6 @@ logLevelSlow()
         v = static_cast<int>(*e);
     logLevel.store(v, std::memory_order_relaxed);
     return v;
-}
-
-namespace {
-
-struct OnceState
-{
-    std::mutex mu;
-    std::set<std::string> seen;
-    std::map<std::string, uint64_t> counts;
-};
-
-OnceState&
-onceState()
-{
-    static OnceState s;
-    return s;
-}
-
-} // namespace
-
-bool
-firstOccurrence(const std::string& key)
-{
-    OnceState& s = onceState();
-    std::lock_guard<std::mutex> lk(s.mu);
-    return s.seen.insert(key).second;
-}
-
-bool
-everyNth(const std::string& key, unsigned n)
-{
-    OnceState& s = onceState();
-    std::lock_guard<std::mutex> lk(s.mu);
-    uint64_t count = ++s.counts[key];
-    return n == 0 || (count - 1) % n == 0;
 }
 
 } // namespace logdetail

@@ -7,10 +7,6 @@
  * 0..2): 0 silences both, 1 shows warnings only, 2 (the default) shows
  * everything. fatal() and panic() always print — they terminate the
  * process and must never be silenced.
- *
- * warnOnce() deduplicates on the full message text (periodic pollers that
- * would otherwise repeat one warning forever), warnEvery() prints the
- * first occurrence of a key and then every Nth.
  */
 
 #ifndef CONSTABLE_COMMON_LOGGING_HH
@@ -37,12 +33,6 @@ logLevelNow()
     int v = logLevel.load(std::memory_order_relaxed);
     return v >= 0 ? v : logLevelSlow();
 }
-
-/** True the first time `key` is seen (then false forever). */
-bool firstOccurrence(const std::string& key);
-
-/** True on occurrence 1, N+1, 2N+1, ... of `key`. */
-bool everyNth(const std::string& key, unsigned n);
 
 } // namespace logdetail
 
@@ -76,34 +66,6 @@ inform(const std::string& msg)
 {
     if (logdetail::logLevelNow() >= 2)
         std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-/** warn(), but at most once per distinct message text for the process
- *  lifetime — for polling loops that re-derive the same condition. */
-inline void
-warnOnce(const std::string& msg)
-{
-    if (logdetail::logLevelNow() >= 1 && logdetail::firstOccurrence(msg))
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-/** warnOnce() with an explicit dedup key, for messages whose text embeds
- *  a varying measurement (e.g. a skew magnitude) but whose condition is
- *  per-entity (e.g. per lease path). */
-inline void
-warnOnce(const std::string& key, const std::string& msg)
-{
-    if (logdetail::logLevelNow() >= 1 && logdetail::firstOccurrence(key))
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-/** Rate-limited warn(): prints the first occurrence of `key` and then
- *  every `n`th, annotated with the suppressed count. */
-inline void
-warnEvery(const std::string& key, const std::string& msg, unsigned n = 100)
-{
-    if (logdetail::logLevelNow() >= 1 && logdetail::everyNth(key, n))
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 } // namespace constable

@@ -256,12 +256,13 @@ void obsProgressBegin(const ObsProgressConfig& cfg);
 /** One cell finished locally; `ops` feeds the rolling Mops/s. */
 void obsProgressCellDone(uint64_t ops);
 
-/** Absolute done-count from an external scan (sharded workers observe
- *  other processes' committed cells). Monotonic: lower counts ignored. */
+/** Absolute sweep-wide done-count (shard workers read it from their
+ *  shared counter page). Monotonic: lower counts ignored. */
 void obsProgressUpdate(size_t done);
 
-/** Credit ops executed elsewhere (a shard coordinator summing merged
- *  cells) to the Mops/s accounting without advancing the done count. */
+/** Credit ops to the Mops/s accounting without advancing the done count
+ *  (a shard worker crediting its siblings' cells, a coordinator crediting
+ *  the cells its workers and its merge simulated). */
 void obsProgressNoteOps(uint64_t ops);
 
 /** Final update: marks state "done" in status.json and prints a closing

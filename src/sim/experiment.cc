@@ -75,13 +75,6 @@ printUsage(const char* prog, int exit_code)
         "resume\n"
         "  --shards=N          fork N cooperating worker processes per "
         "sweep\n"
-        "  --shard-id=K        join an externally launched fleet as worker "
-        "K\n                      (requires --shards and a shared "
-        "--checkpoint-dir)\n"
-        "  --lease-ttl-sec=N   reclaim a worker's cell lease after N "
-        "seconds\n"
-        "  --shard-poll-ms=N   poll interval while waiting on other "
-        "shards\n"
         "  --sample=SPEC       phase-sampled simulation: phases:N,window:K "
         "(or\n                      'off'); see README \"Sampled "
         "simulation\"\n"
@@ -98,8 +91,7 @@ printUsage(const char* prog, int exit_code)
         "Environment: CONSTABLE_THREADS, CONSTABLE_SEED, "
         "CONSTABLE_TRACE_OPS,\nCONSTABLE_SUITE_LIMIT, CONSTABLE_TRACE_DIR, "
         "CONSTABLE_CHECKPOINT_DIR,\nCONSTABLE_SHARDS, "
-        "CONSTABLE_SHARD_ID, CONSTABLE_LEASE_TTL_SEC,\n"
-        "CONSTABLE_SHARD_POLL_MS, CONSTABLE_SAMPLE, CONSTABLE_FAULT_PLAN,\n"
+        "CONSTABLE_SAMPLE, CONSTABLE_FAULT_PLAN,\n"
         "CONSTABLE_FAULT_MARKER_DIR, CONSTABLE_FAULT_SEED, "
         "CONSTABLE_TRACE_OUT,\nCONSTABLE_METRICS_OUT, "
         "CONSTABLE_PROGRESS_SEC, CONSTABLE_LOG_LEVEL\n"
@@ -158,13 +150,6 @@ ExperimentOptions::fromEnv()
     if (auto v = envU64InRange("CONSTABLE_SHARDS", 1,
                                ShardOptions::kMaxShards))
         opts.shards = static_cast<unsigned>(*v);
-    if (auto v = envU64InRange("CONSTABLE_SHARD_ID", 0,
-                               ShardOptions::kMaxShards - 1))
-        opts.shardId = static_cast<int>(*v);
-    if (auto v = envU64InRange("CONSTABLE_LEASE_TTL_SEC", 1, 7 * 86400))
-        opts.leaseTtlSec = static_cast<unsigned>(*v);
-    if (auto v = envU64InRange("CONSTABLE_SHARD_POLL_MS", 1, 60'000))
-        opts.shardPollMs = static_cast<unsigned>(*v);
     if (auto v = envStr("CONSTABLE_SAMPLE"))
         opts.sample = SampleOptions::parse(*v);
     if (auto v = envStr("CONSTABLE_TRACE_OUT"))
@@ -226,16 +211,6 @@ ExperimentOptions::fromArgs(int argc, char** argv)
         } else if (flag == "--shards") {
             opts.shards = static_cast<unsigned>(
                 parseU64InRange(flag, val(), 1, ShardOptions::kMaxShards));
-        } else if (flag == "--shard-id") {
-            opts.shardId = static_cast<int>(
-                parseU64InRange(flag, val(), 0,
-                                ShardOptions::kMaxShards - 1));
-        } else if (flag == "--lease-ttl-sec") {
-            opts.leaseTtlSec = static_cast<unsigned>(
-                parseU64InRange(flag, val(), 1, 7 * 86400));
-        } else if (flag == "--shard-poll-ms") {
-            opts.shardPollMs = static_cast<unsigned>(
-                parseU64InRange(flag, val(), 1, 60'000));
         } else if (flag == "--sample") {
             opts.sample = SampleOptions::parse(val());
         } else if (flag == "--fault-plan") {
@@ -270,26 +245,15 @@ ExperimentOptions::batch() const
 ShardOptions
 ExperimentOptions::shard() const
 {
-    // Cross-field checks live here (not in fromEnv) so a fleet launcher
-    // can put CONSTABLE_SHARD_ID in each machine's environment and pass
-    // --shards on the shared command line. The shard cap is rechecked here
-    // for callers that set `shards` directly rather than through a flag.
+    // The shard cap is rechecked here for callers that set `shards`
+    // directly rather than through a flag.
     if (shards > ShardOptions::kMaxShards) {
         fatal("--shards=" + std::to_string(shards) + " out of range: at "
               "most " + std::to_string(ShardOptions::kMaxShards) +
               " workers");
     }
-    if (shardId >= 0 && static_cast<unsigned>(shardId) >= shards) {
-        fatal("shard id " + std::to_string(shardId) +
-              " out of range: --shards=" + std::to_string(shards) +
-              " (ids are 0-based)");
-    }
     ShardOptions s;
     s.shards = shards;
-    s.shardId = shardId;
-    s.leaseTtlSec = leaseTtlSec;
-    s.pollMs = shardPollMs;
-    s.batch = batch();
     return s;
 }
 
@@ -698,11 +662,6 @@ Experiment::runCells(size_t rows, bool smt)
     std::string ckptRoot = opts_.checkpointDir;
     std::string tempRoot;
     if (shardOpts.active() && ckptRoot.empty()) {
-        if (shardOpts.shardId >= 0) {
-            fatal("sharded worker mode (--shard-id / CONSTABLE_SHARD_ID) "
-                  "needs --checkpoint-dir on a filesystem every worker "
-                  "shares");
-        }
         // Fork coordinator without a checkpoint dir: cells still travel
         // between processes as files, so use a private scratch directory
         // and discard it once the matrix is merged.
@@ -730,15 +689,11 @@ Experiment::runCells(size_t rows, bool smt)
     obsProgressBegin(pcfg);
 
     if (shardOpts.active()) {
+        // runShardedCells credits the ops of the cells it simulates, so
+        // the closing report's Mops/s leaves resumed cells out.
         ShardOutcome oc =
             runShardedCells(ckptDir, manifest, computeCell, m.results,
                             shardOpts);
-        // The workers did the computing; credit the merged matrix's ops
-        // so the coordinator's closing report carries a real Mops/s.
-        uint64_t mergedOps = 0;
-        for (const RunResult& r : m.results)
-            mergedOps += r.instructions;
-        obsProgressNoteOps(mergedOps);
         obsProgressEnd();
         // The final merge loads every cell, so oc.loaded always spans the
         // matrix; only cells that predated this run count as resumed.
@@ -825,7 +780,7 @@ Experiment::merge(bool smt)
     m.numConfigs = factories_.size();
     ShardOutcome oc;
     if (!mergeShardedCells(ckptDir, manifest, /*compute=*/nullptr,
-                           m.results, opts_.shard(), oc)) {
+                           m.results, oc)) {
         fatal("merge: sweep '" + name_ + "' is incomplete (" +
               std::to_string(oc.loaded) + " of " +
               std::to_string(manifest.numCells()) +

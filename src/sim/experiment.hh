@@ -57,16 +57,8 @@ struct ExperimentOptions
     /** Per-cell checkpoint directory; empty disables checkpointing. */
     std::string checkpointDir;
     /** Process-level sharding: > 1 forks that many cooperating worker
-     *  processes per sweep (coordinator mode; see sim/shard.hh). */
+     *  processes per sweep (see sim/shard.hh). */
     unsigned shards = 1;
-    /** >= 0: this process is worker `shardId` of `shards` independently
-     *  launched processes sharing checkpointDir (multi-machine mode). */
-    int shardId = -1;
-    /** Stale-lease reclaim threshold for sharded sweeps (seconds); must
-     *  exceed the worst-case single-cell runtime. */
-    unsigned leaseTtlSec = 120;
-    /** Poll interval while a shard waits on other workers' cells (ms). */
-    unsigned shardPollMs = 100;
     /** Chrome trace-event JSON written at exit (--trace-out /
      *  CONSTABLE_TRACE_OUT); non-empty arms the obs registry. */
     std::string traceOutPath;
@@ -90,8 +82,7 @@ struct ExperimentOptions
     /**
      * Env first, then CLI flags override: --threads=N --seed=N
      * --trace-ops=N --suite-limit=N --trace-dir=PATH --checkpoint-dir=PATH
-     * --shards=N --shard-id=K --lease-ttl-sec=N --shard-poll-ms=N
-     * --sample=phases:N,window:K
+     * --shards=N --sample=phases:N,window:K
      * ("--flag value" also accepted). --help prints usage and exits;
      * unknown arguments fatal().
      */
@@ -101,14 +92,8 @@ struct ExperimentOptions
     BatchOptions batch() const;
 
     /** The process-parallelism subset consumed by sim/shard.hh; fatal()
-     *  on inconsistent settings (shardId >= shards). */
+     *  on a shard count above ShardOptions::kMaxShards. */
     ShardOptions shard() const;
-
-    /** True when this process should print human-readable reports: single
-     *  process runs, fork coordinators, and shard 0 of a launched fleet
-     *  (every shard computes and merges the same full result; only one
-     *  should narrate it). */
-    bool printsReport() const { return shardId <= 0; }
 };
 
 /** Width of a geomean table's name column: 14, or one more than the
@@ -296,10 +281,9 @@ class Experiment
 
     /** Run the {trace x config} matrix (gs sets attached when inspected).
      *  With opts.shards > 1 the matrix is executed by forked worker
-     *  processes claiming cells through the checkpoint directory; with
-     *  opts.shardId >= 0 this process joins an externally launched fleet.
-     *  Either way the returned matrix is complete and bit-identical to a
-     *  single-process run. */
+     *  processes that commit cells into the checkpoint directory; the
+     *  returned matrix is complete and bit-identical to a single-process
+     *  run either way. */
     ExperimentResult run();
 
     /** Run the {SMT2 pair x config} matrix over smtTracePairs(). */
@@ -307,19 +291,17 @@ class Experiment
 
     /**
      * Assemble the result matrix purely from the checkpoint directory
-     * (e.g. after a fleet of workers on other machines finished), without
-     * simulating anything; fatal() if the sweep's manifest is absent or
-     * any cell is missing/corrupt. Requires opts.checkpointDir.
+     * (e.g. after an earlier run finished), without simulating anything;
+     * fatal() if the sweep's manifest is absent or any cell is
+     * missing/corrupt. Requires opts.checkpointDir.
      */
     ExperimentResult merge(bool smt = false);
 
-    /** Keyed per-sweep checkpoint subdirectory + its manifest. Public so
-     *  harnesses (constable-faultsweep) can pre-seed the directory — e.g.
-     *  plant a stale foreign lease — before run() ever sees it. */
+  private:
+    /** Keyed per-sweep checkpoint subdirectory + its manifest. */
     std::string checkpointDirFor(const std::string& root, bool smt,
                                  SweepManifest& manifest, size_t rows) const;
 
-  private:
     ExperimentResult runCells(size_t rows, bool smt);
 
     std::string name_;

@@ -8,11 +8,7 @@
 #include <unistd.h>
 
 #include <bit>
-#include <chrono>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <system_error>
 
 namespace constable {
 
@@ -23,7 +19,6 @@ namespace {
 constexpr uint32_t kTraceMagic = 0x43545243;    // "CTRC"
 constexpr uint32_t kResultMagic = 0x43525253;   // "CRRS"
 constexpr uint32_t kManifestMagic = 0x464d5343; // "CSMF"
-constexpr uint32_t kLeaseMagic = 0x534c5343;    // "CSLS"
 
 /** Little-endian append-only encoder. */
 class ByteWriter
@@ -494,95 +489,6 @@ loadManifest(const std::string& path, SweepManifest& out)
         return false;
     std::vector<uint8_t> bytes;
     return readFileBytes(path, bytes) && deserializeManifest(bytes, out);
-}
-
-std::string
-processOwnerTag()
-{
-    char host[256] = "unknown-host";
-    if (::gethostname(host, sizeof(host)) != 0)
-        std::snprintf(host, sizeof(host), "unknown-host");
-    host[sizeof(host) - 1] = '\0';
-    return std::string(host) + ":" + std::to_string(::getpid());
-}
-
-bool
-tryAcquireLease(const std::string& path, const LeaseRecord& r)
-{
-    // An injected failure here looks exactly like "someone else holds the
-    // claim"; the claim loop re-scans every pass, so it self-heals.
-    if (faultFailed("lease.acquire"))
-        return false;
-    // "x" (C11): O_CREAT|O_EXCL — creation atomically decides the claim,
-    // which a tmp + rename commit cannot express.
-    // lint:rawio exclusive create is the claim; lease.acquire guards it
-    std::FILE* f = std::fopen(path.c_str(), "wbx");
-    if (!f)
-        return false;
-    ByteWriter w;
-    w.u32(kLeaseMagic);
-    w.u32(kSerializeVersion);
-    w.str(r.owner);
-    w.u64(r.pid);
-    w.u64(static_cast<uint64_t>(r.shardId));
-    w.u64(r.acquiredUnixSec);
-    w.sealChecksum();
-    const auto& bytes = w.bytes();
-    bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-    if (ok)
-        ok = std::fflush(f) == 0;
-    if (ok)
-        ::fsync(::fileno(f)); // best-effort: the claim itself is the open
-    ok = (std::fclose(f) == 0) && ok;
-    if (!ok)
-        std::remove(path.c_str());
-    return ok;
-}
-
-bool
-readLease(const std::string& path, LeaseRecord& out)
-{
-    if (faultFailed("lease.read"))
-        return false;
-    std::vector<uint8_t> bytes;
-    if (!readFileBytes(path, bytes))
-        return false;
-    size_t payload;
-    if (!checkedPayload(bytes.data(), bytes.size(), payload))
-        return false;
-    ByteReader r(bytes.data(), payload);
-    uint32_t magic, version;
-    if (!r.u32(magic) || magic != kLeaseMagic || !r.u32(version) ||
-        version != kSerializeVersion)
-        return false;
-    LeaseRecord l;
-    uint64_t shard;
-    if (!r.str(l.owner) || !r.u64(l.pid) || !r.u64(shard) ||
-        !r.u64(l.acquiredUnixSec) || r.remaining() != 0)
-        return false;
-    l.shardId = static_cast<int64_t>(shard);
-    out = std::move(l);
-    return true;
-}
-
-double
-leaseAgeSeconds(const std::string& path)
-{
-    std::error_code ec;
-    auto mtime = std::filesystem::last_write_time(path, ec);
-    if (ec)
-        return -1.0;
-    auto now = std::filesystem::file_time_type::clock::now();
-    return std::chrono::duration<double>(now - mtime).count();
-}
-
-bool
-removeLease(const std::string& path)
-{
-    if (faultFailed("lease.release"))
-        return false;
-    std::error_code ec;
-    return std::filesystem::remove(path, ec) && !ec;
 }
 
 // ----------------------------------------------------------- cache keying

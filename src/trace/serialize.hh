@@ -69,8 +69,8 @@ bool loadRunResult(const std::string& path, RunResult& out);
 
 /**
  * Identity of a sharded sweep, written once (atomically) into its
- * checkpoint directory as `manifest.sweep`. Every cooperating process
- * verifies it against its own sweep before claiming cells, so two
+ * checkpoint directory as `manifest.sweep`. Every run verifies it
+ * against its own sweep before computing cells, so two
  * different experiments pointed at one directory fail fast instead of
  * silently interleaving incompatible cell files.
  */
@@ -92,40 +92,6 @@ bool deserializeManifest(const std::vector<uint8_t>& bytes,
                          SweepManifest& out);
 bool saveManifest(const std::string& path, const SweepManifest& m);
 bool loadManifest(const std::string& path, SweepManifest& out);
-
-/**
- * A worker's claim on one matrix cell, stored as `<cell>.lease` next to the
- * cell file. Creation is atomic (O_CREAT|O_EXCL semantics), which is the
- * whole claim protocol; expiry is judged from the lease file's mtime, not
- * from the timestamp written inside it, so a worker whose wall clock is
- * wrong cannot make its own leases look fresh or stale. Readers still
- * compare that mtime against their local clock (leaseAgeSeconds), so a
- * fleet's clocks must agree with the file server to well within the lease
- * TTL — run NTP, and size the TTL above worst cell time + clock error.
- */
-struct LeaseRecord
-{
-    std::string owner;            ///< "<hostname>:<pid>" diagnostic tag
-    uint64_t pid = 0;
-    int64_t shardId = -1;
-    uint64_t acquiredUnixSec = 0; ///< informational only (see mtime note)
-};
-
-/** "<hostname>:<pid>" of the calling process (lease ownership tag). */
-std::string processOwnerTag();
-
-/** Atomically create the lease file; false if it already exists (someone
- *  else holds the claim) or on I/O error. The write is fsync'd. */
-bool tryAcquireLease(const std::string& path, const LeaseRecord& r);
-
-/** Read a lease (diagnostics); false if missing or corrupt. */
-bool readLease(const std::string& path, LeaseRecord& out);
-
-/** Seconds since the lease file was last written; negative if missing. */
-double leaseAgeSeconds(const std::string& path);
-
-/** Remove a lease file (release after commit, or reclaim of a stale one). */
-bool removeLease(const std::string& path);
 
 // ------------------------------------------------------------- cache keying
 

@@ -532,7 +532,7 @@ TEST(OptionsDeathTest, EnvTraceOutWithCliFaultPlanExitsCleanly)
                           std::to_string(::getpid()) + ".json"))
                             .string();
     fs::remove(trace);
-    const char* argv[] = { "prog", "--fault-plan=lease.read:eio@1" };
+    const char* argv[] = { "prog", "--fault-plan=ckpt.cell.read:eio@1" };
     EXPECT_EXIT(
         {
             setenv("CONSTABLE_TRACE_OUT", trace.c_str(), 1);

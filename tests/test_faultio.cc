@@ -2,8 +2,8 @@
  * @file
  * Tests for the deterministic fault-injection shim (common/faultio.hh):
  * plan grammar + fatal diagnostics, fail-N eio/enospc semantics, torn-write
- * arming and its writeFileAtomic integration, crash-once markers, clock
- * skew, seeded backoff determinism, the retry absorber, and thread-safety
+ * arming and its writeFileAtomic integration, crash-once markers, seeded
+ * backoff determinism, the retry absorber, and thread-safety
  * of the armed counters (this file is part of the TSan CI subset — keep
  * "Fault" in every test suite name).
  */
@@ -56,17 +56,24 @@ class FaultIoTest : public ::testing::Test
 
 TEST_F(FaultIoTest, RegistryIsLargeUniqueAndWellKinded)
 {
+    // Exactly the points with a live call site: a new one must be added
+    // here (and to CI's fault-sweep list), a dead one removed.
+    const std::vector<std::string> want = {
+        "atomic.tmp.open",     "atomic.tmp.write",    "atomic.tmp.fsync",
+        "atomic.commit.rename", "atomic.dir.fsync",   "trace.cache.read",
+        "trace.cache.write",   "ckpt.cell.read",      "ckpt.cell.commit",
+        "sweep.manifest.read", "sweep.manifest.write",
+    };
     const auto& table = faultPointTable();
-    EXPECT_GE(table.size(), 15u); // the faultsweep acceptance floor
-    std::set<std::string> names;
-    const std::set<std::string> kinds = { "read", "write", "sync", "clock" };
+    std::vector<std::string> names;
+    const std::set<std::string> kinds = { "read", "write", "sync" };
     for (const auto& p : table) {
-        EXPECT_TRUE(names.insert(p.name).second)
-            << "duplicate fault point " << p.name;
+        names.push_back(p.name);
         EXPECT_TRUE(kinds.count(p.kind))
             << p.name << " has unknown kind " << p.kind;
         EXPECT_NE(std::string(p.site), "");
     }
+    EXPECT_EQ(names, want);
 }
 
 // ------------------------------------------------------------ plan grammar
@@ -76,7 +83,6 @@ TEST_F(FaultIoTest, UnarmedFastPathInjectsNothing)
     EXPECT_FALSE(faultPlanArmed());
     EXPECT_FALSE(faultFailed("ckpt.cell.read"));
     EXPECT_FALSE(faultConsumeTorn());
-    EXPECT_EQ(faultSkewSeconds("lease.age"), 0.0);
     EXPECT_EQ(faultPointHits("ckpt.cell.read"), 0u);
 }
 
@@ -92,6 +98,12 @@ TEST(FaultPlanDeathTest, UnknownActionIsFatal)
                 ::testing::ExitedWithCode(1), "action");
 }
 
+TEST(FaultPlanDeathTest, SkewActionIsRejected)
+{
+    EXPECT_EXIT(installFaultPlan("ckpt.cell.read:skew"),
+                ::testing::ExitedWithCode(1), "unknown action 'skew'");
+}
+
 TEST(FaultPlanDeathTest, MalformedClauseIsFatal)
 {
     EXPECT_EXIT(installFaultPlan("ckpt.cell.read"),
@@ -104,14 +116,14 @@ TEST(FaultPlanDeathTest, MalformedClauseIsFatal)
 
 TEST_F(FaultIoTest, ClausesSplitOnSemicolonAndComma)
 {
-    installFaultPlan("ckpt.cell.read:eio;lease.read:enospc@2,"
-                     "lease.age:skew");
+    installFaultPlan("ckpt.cell.read:eio;sweep.manifest.read:enospc@2,"
+                     "trace.cache.write:torn");
     EXPECT_TRUE(faultPlanArmed());
     auto armed = faultArmedHits();
     ASSERT_EQ(armed.size(), 3u);
     EXPECT_EQ(armed[0].first, "ckpt.cell.read");
-    EXPECT_EQ(armed[1].first, "lease.read");
-    EXPECT_EQ(armed[2].first, "lease.age");
+    EXPECT_EQ(armed[1].first, "sweep.manifest.read");
+    EXPECT_EQ(armed[2].first, "trace.cache.write");
 }
 
 // ------------------------------------------------------- fail-N semantics
@@ -136,12 +148,12 @@ TEST_F(FaultIoTest, EioFailsFirstNThenHeals)
 
 TEST_F(FaultIoTest, DefaultCountIsOneAndClearDisarms)
 {
-    installFaultPlan("lease.acquire:enospc");
-    EXPECT_TRUE(faultFailed("lease.acquire"));
-    EXPECT_FALSE(faultFailed("lease.acquire"));
+    installFaultPlan("sweep.manifest.write:enospc");
+    EXPECT_TRUE(faultFailed("sweep.manifest.write"));
+    EXPECT_FALSE(faultFailed("sweep.manifest.write"));
     clearFaultPlan();
     EXPECT_FALSE(faultPlanArmed());
-    EXPECT_EQ(faultPointHits("lease.acquire"), 0u); // forgotten with plan
+    EXPECT_EQ(faultPointHits("sweep.manifest.write"), 0u); // forgotten
 }
 
 // -------------------------------------------------------------- torn writes
@@ -223,32 +235,14 @@ TEST_F(FaultIoTest, CrashMarkerMakesTheCrashOneShot)
     EXPECT_FALSE(faultFailed("ckpt.cell.commit"));
 }
 
-// -------------------------------------------------------------- clock skew
-
-TEST_F(FaultIoTest, SkewReportsItsParamAndCountsHits)
-{
-    installFaultPlan("lease.age:skew@400");
-    EXPECT_EQ(faultSkewSeconds("lease.age"), 400.0);
-    EXPECT_EQ(faultSkewSeconds("lease.age"), 400.0); // not fail-N: sticky
-    EXPECT_EQ(faultSkewSeconds("ckpt.cell.read"), 0.0);
-    EXPECT_GE(faultPointHits("lease.age"), 2u);
-    EXPECT_FALSE(faultFailed("lease.age")); // skew never fails the call
-}
-
-TEST_F(FaultIoTest, SkewDefaultsTo300Seconds)
-{
-    installFaultPlan("lease.age:skew");
-    EXPECT_EQ(faultSkewSeconds("lease.age"), 300.0);
-}
-
 // ----------------------------------------------------- deterministic backoff
 
 TEST(FaultBackoff, SameInputsSameDelayAcrossCalls)
 {
     BackoffPolicy p;
     for (unsigned attempt = 0; attempt < 4; ++attempt) {
-        unsigned a = backoffDelayMs("lease.read", attempt, p);
-        unsigned b = backoffDelayMs("lease.read", attempt, p);
+        unsigned a = backoffDelayMs("sweep.manifest.read", attempt, p);
+        unsigned b = backoffDelayMs("sweep.manifest.read", attempt, p);
         EXPECT_EQ(a, b) << "attempt " << attempt;
     }
 }
@@ -276,7 +270,7 @@ TEST(FaultBackoff, CapBoundsEveryDelay)
     p.mult = 10.0;
     p.capMs = 250;
     for (unsigned attempt = 0; attempt < 8; ++attempt)
-        EXPECT_LE(backoffDelayMs("lease.acquire", attempt, p), p.capMs);
+        EXPECT_LE(backoffDelayMs("atomic.tmp.open", attempt, p), p.capMs);
 }
 
 TEST(FaultBackoff, DifferentPointsDesynchronize)
@@ -286,8 +280,8 @@ TEST(FaultBackoff, DifferentPointsDesynchronize)
     BackoffPolicy p;
     bool differ = false;
     for (unsigned attempt = 0; attempt < 6 && !differ; ++attempt)
-        differ = backoffDelayMs("lease.read", attempt, p) !=
-                 backoffDelayMs("lease.release", attempt, p);
+        differ = backoffDelayMs("sweep.manifest.read", attempt, p) !=
+                 backoffDelayMs("sweep.manifest.write", attempt, p);
     EXPECT_TRUE(differ);
 }
 
@@ -307,11 +301,11 @@ TEST_F(FaultIoTest, RetryAbsorbsTransientFailuresAndSleepsBetween)
 {
     g_sleepCalls = g_sleepTotalMs = 0;
     setFaultSleepFn(&countingSleep);
-    installFaultPlan("lease.read:eio@2");
+    installFaultPlan("sweep.manifest.read:eio@2");
     unsigned tries = 0;
-    bool ok = retryWithBackoff("lease.read", [&] {
+    bool ok = retryWithBackoff("sweep.manifest.read", [&] {
         ++tries;
-        return !faultFailed("lease.read");
+        return !faultFailed("sweep.manifest.read");
     });
     EXPECT_TRUE(ok);
     EXPECT_EQ(tries, 3u);      // two injected failures, then success
@@ -326,7 +320,7 @@ TEST_F(FaultIoTest, RetryGivesUpAfterThePolicyBudget)
     BackoffPolicy p;
     p.attempts = 3;
     unsigned tries = 0;
-    bool ok = retryWithBackoff("lease.read", [&] {
+    bool ok = retryWithBackoff("sweep.manifest.read", [&] {
         ++tries;
         return false;
     }, p);

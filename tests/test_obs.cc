@@ -6,8 +6,7 @@
  * atomically rewritten (a concurrent reader never sees a torn file), the
  * emitted Chrome trace-event JSON is well-formed, forEachJob's workers
  * keep one lane per worker index across calls, and shard partial files
- * round-trip counters/histograms/spans through save + merge. Plus the
- * CONSTABLE_LOG_LEVEL satellite: warnOnce/warnEvery dedup state.
+ * round-trip counters/histograms/spans through save + merge.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "common/faultio.hh"
-#include "common/logging.hh"
 #include "common/obs.hh"
 #include "sim/batch.hh"
 #include "sim/mechanisms.hh"
@@ -375,24 +373,6 @@ TEST_F(ObsTest, StatusFormatterRejectsGarbage)
     EXPECT_NE(line.find("fig11"), std::string::npos) << line;
     EXPECT_NE(line.find("3/16"), std::string::npos) << line;
     EXPECT_NE(line.find("pid-7"), std::string::npos) << line;
-}
-
-// ------------------------------------------------- logging satellites
-
-TEST(LogOnce, FirstOccurrenceAndEveryNth)
-{
-    // warnOnce/warnEvery route through these; the print itself depends on
-    // CONSTABLE_LOG_LEVEL, the dedup state does not.
-    EXPECT_TRUE(logdetail::firstOccurrence("obs-test-once-key"));
-    EXPECT_FALSE(logdetail::firstOccurrence("obs-test-once-key"));
-    EXPECT_TRUE(logdetail::firstOccurrence("obs-test-once-key-2"));
-
-    int fired = 0;
-    for (int i = 0; i < 25; ++i) {
-        if (logdetail::everyNth("obs-test-nth-key", 10))
-            ++fired;
-    }
-    EXPECT_EQ(fired, 3); // occurrences 1, 11, 21
 }
 
 } // namespace

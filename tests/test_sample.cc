@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -174,29 +176,48 @@ TEST(SampleCheckpoint, SampledAndFullCellsNeverCollide)
     ExperimentOptions sampled = sampledOpts();
     Suite suite = Suite::fromSpecs(twoSpecs(), full);
 
+    namespace fs = std::filesystem;
+    std::string tmpl =
+        (fs::temp_directory_path() / "constable-sample-ckpt-XXXXXX").string();
+    std::vector<char> buf(tmpl.begin(), tmpl.end());
+    buf.push_back('\0');
+    ASSERT_NE(mkdtemp(buf.data()), nullptr);
+    const std::string root = buf.data();
+
+    // The checkpoint subdirectory a one-config sweep creates under a fresh
+    // root: the name is the sweep's cell key.
+    unsigned runs = 0;
     auto dirFor = [&](const ExperimentOptions& o) {
-        Experiment exp("ckpt", suite, o);
+        ExperimentOptions rooted = o;
+        rooted.checkpointDir = root + "/" + std::to_string(runs++);
+        Experiment exp("ckpt", suite, rooted);
         exp.add("baseline", mechFor("baseline"));
-        SweepManifest m;
-        return exp.checkpointDirFor("/ckpt-root", /*smt=*/false, m,
-                                    suite.size());
+        exp.run();
+        std::string key;
+        for (const auto& e : fs::directory_iterator(rooted.checkpointDir))
+            key = e.path().filename().string();
+        EXPECT_FALSE(key.empty());
+        return key;
     };
-    EXPECT_NE(dirFor(full), dirFor(sampled));
+    const std::string sampledDir = dirFor(sampled);
+    const std::string fullDir = dirFor(full);
+    EXPECT_NE(fullDir, sampledDir);
 
     // Different sample specs and different seeds also get their own cells
     // (the seed drives window selection, so it is part of the identity).
     ExperimentOptions widened = sampled;
     widened.sample.spread = 1;
-    EXPECT_NE(dirFor(sampled), dirFor(widened));
+    EXPECT_NE(sampledDir, dirFor(widened));
     ExperimentOptions reseeded = sampled;
     reseeded.seed += 1;
-    EXPECT_NE(dirFor(sampled), dirFor(reseeded));
+    EXPECT_NE(sampledDir, dirFor(reseeded));
     // Full-fidelity checkpoints ignore the seed (cells are deterministic
     // functions of (row, config) alone) — the sampled-only sensitivity
     // above must not leak into the full path.
     ExperimentOptions fullReseeded = full;
     fullReseeded.seed += 1;
-    EXPECT_EQ(dirFor(full), dirFor(fullReseeded));
+    EXPECT_EQ(fullDir, dirFor(fullReseeded));
+    fs::remove_all(root);
 }
 
 // ---------------------------------------------------------------- stats

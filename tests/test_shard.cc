@@ -1,24 +1,28 @@
 /**
  * @file
  * Tests for the sharded multi-process sweep subsystem (sim/shard.hh):
- * lease-file claim semantics, manifest pinning, fork-coordinator runs that
- * are bit-identical to single-process runs, SIGKILL crash recovery through
- * mtime-based lease reclaim, and merge-time regeneration of corrupt cells
- * and cleanup of orphaned tmp files.
+ * manifest pinning, fork-coordinator runs that are bit-identical to
+ * single-process runs, cells taken exactly once from the shared counter,
+ * recovery of a SIGKILLed worker's cell at merge, merge-time regeneration
+ * of corrupt cells and cleanup of orphaned tmp files, cost-ranked claim
+ * order, output buffered before the fork written once, and a resumed
+ * rerun's progress report.
  */
 
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <thread>
 
-#include <sys/wait.h>
+#include <fcntl.h>
 #include <unistd.h>
 
 #include "common/faultio.hh"
+#include "common/obs.hh"
 #include "sim/experiment.hh"
 #include "sim/scenario.hh"
 #include "sim/shard.hh"
@@ -75,58 +79,35 @@ syntheticCell(size_t cell)
 }
 
 ShardOptions
-workerOpts(int shard_id, unsigned ttl_sec = 120)
+shardOpts(unsigned shards)
 {
     ShardOptions o;
-    o.shards = 1;
-    o.shardId = shard_id;
-    o.leaseTtlSec = ttl_sec;
-    o.pollMs = 20;
-    o.batch.threads = 1;
+    o.shards = shards;
     return o;
 }
 
-// ---------------------------------------------------------------- leases
-
-TEST_F(ShardTest, LeaseAcquireIsExclusiveAndRoundTrips)
+/** Append `cell` as one line to `path`. Cells compute in forked workers,
+ *  so a file is how they report back; O_APPEND keeps the lines of
+ *  concurrent processes whole. */
+void
+logCell(const std::string& path, size_t cell)
 {
-    std::string lp = dir + "/cell-0-0.rr.lease";
-    LeaseRecord r;
-    r.owner = processOwnerTag();
-    r.pid = static_cast<uint64_t>(getpid());
-    r.shardId = 3;
-    r.acquiredUnixSec = 1234567;
-    ASSERT_TRUE(tryAcquireLease(lp, r));
-    EXPECT_FALSE(tryAcquireLease(lp, r)); // second claim loses
-
-    LeaseRecord back;
-    ASSERT_TRUE(readLease(lp, back));
-    EXPECT_EQ(back.owner, r.owner);
-    EXPECT_EQ(back.pid, r.pid);
-    EXPECT_EQ(back.shardId, 3);
-    EXPECT_EQ(back.acquiredUnixSec, 1234567u);
-
-    double age = leaseAgeSeconds(lp);
-    EXPECT_GE(age, 0.0);
-    EXPECT_LT(age, 60.0);
-
-    EXPECT_TRUE(removeLease(lp));
-    EXPECT_LT(leaseAgeSeconds(lp), 0.0); // missing
-    EXPECT_TRUE(tryAcquireLease(lp, r)); // claimable again
+    std::string line = std::to_string(cell) + "\n";
+    int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    if (fd < 0 || ::write(fd, line.data(), line.size()) !=
+                      static_cast<ssize_t>(line.size()))
+        std::abort();
+    ::close(fd);
 }
 
-TEST_F(ShardTest, CorruptLeaseIsUnreadableButStillBlocksAndExpires)
+std::vector<size_t>
+loggedCells(const std::string& path)
 {
-    std::string lp = dir + "/x.lease";
-    std::ofstream(lp) << "garbage";
-    LeaseRecord back;
-    EXPECT_FALSE(readLease(lp, back));
-    LeaseRecord mine;
-    EXPECT_FALSE(tryAcquireLease(lp, mine)); // existence is the claim
-    // Backdate: expiry is mtime-based, so even junk leases age out.
-    fs::last_write_time(lp, fs::file_time_type::clock::now() -
-                                std::chrono::seconds(500));
-    EXPECT_GE(leaseAgeSeconds(lp), 499.0);
+    std::vector<size_t> cells;
+    std::ifstream in(path);
+    for (size_t c; in >> c;)
+        cells.push_back(c);
+    return cells;
 }
 
 // -------------------------------------------------------------- manifests
@@ -151,23 +132,24 @@ TEST_F(ShardTest, ManifestMismatchIsFatal)
                 ::testing::ExitedWithCode(1), "belongs to sweep");
 }
 
-// ------------------------------------------------------------ worker mode
+// ------------------------------------------------------- fork coordinator
 
 TEST_F(ShardTest, SingleWorkerCompletesAndMergesTheMatrix)
 {
     SweepManifest m = syntheticManifest();
     std::vector<RunResult> out;
     ShardOutcome oc =
-        runShardedCells(dir, m, syntheticCell, out, workerOpts(0));
+        runShardedCells(dir, m, syntheticCell, out, shardOpts(1));
+    EXPECT_EQ(oc.workersForked, 1u);
+    EXPECT_EQ(oc.workersFailed, 0u);
     EXPECT_EQ(oc.computed, 6u);
     EXPECT_EQ(oc.loaded, 6u);      // the final merge spans the matrix
     EXPECT_EQ(oc.preExisting, 0u); // nothing was resumed
-    EXPECT_EQ(oc.reclaimed, 0u);
     ASSERT_EQ(out.size(), 6u);
     for (size_t c = 0; c < out.size(); ++c) {
         EXPECT_EQ(serializeRunResult(out[c]),
                   serializeRunResult(syntheticCell(c)));
-        EXPECT_FALSE(fs::exists(cellLeasePath(dir, m, c))); // released
+        EXPECT_TRUE(fs::exists(cellFilePath(dir, m, c) + ".cost"));
     }
 }
 
@@ -176,12 +158,13 @@ TEST_F(ShardTest, TwoSequentialWorkersSplitViaCommittedCells)
     SweepManifest m = syntheticManifest();
     std::vector<RunResult> out1, out2;
     ShardOutcome a =
-        runShardedCells(dir, m, syntheticCell, out1, workerOpts(0));
+        runShardedCells(dir, m, syntheticCell, out1, shardOpts(1));
     ShardOutcome b =
-        runShardedCells(dir, m, syntheticCell, out2, workerOpts(0));
+        runShardedCells(dir, m, syntheticCell, out2, shardOpts(1));
     EXPECT_EQ(a.computed, 6u);
     EXPECT_EQ(a.preExisting, 0u);
     EXPECT_EQ(b.computed, 0u); // everything already committed
+    EXPECT_EQ(b.workersForked, 0u);
     EXPECT_EQ(b.loaded, 6u);
     EXPECT_EQ(b.preExisting, 6u); // a fully resumed sweep
     for (size_t c = 0; c < out1.size(); ++c) {
@@ -192,94 +175,104 @@ TEST_F(ShardTest, TwoSequentialWorkersSplitViaCommittedCells)
 // ------------------------------------------------------- crash recovery
 
 /**
- * The ISSUE's crash drill: a worker claims a cell, commits some others,
- * and is SIGKILLed while holding a lease mid-compute. A surviving worker
- * with a short TTL must reclaim the orphaned lease, re-run the cell, and
- * produce a matrix bit-identical to an undisturbed single-worker run.
+ * The crash drill: a forked worker SIGKILLs itself while computing cell 2.
+ * It loses only that cell: its sibling takes the rest from the shared
+ * counter, the coordinator reaps one failed worker, and the merge
+ * recomputes cell 2, giving a matrix bit-identical to an undisturbed run.
  */
 TEST_F(ShardTest, SigkilledWorkerLeasesAreReclaimedAndCellsReRun)
 {
     SweepManifest m = syntheticManifest();
-    const size_t hangCell = 2;
-    std::string marker = dir + "/hanging";
+    const size_t killCell = 2;
+    const pid_t coordinator = ::getpid();
+    const std::string log = dir + "/computed.log";
+    auto compute = [&](size_t cell) -> RunResult {
+        logCell(log, cell);
+        if (cell == killCell && ::getpid() != coordinator)
+            ::raise(SIGKILL);
+        return syntheticCell(cell);
+    };
 
-    pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        // Worker that wedges (lease held, cell never committed) on cell 2
-        // after committing cells 0 and 1.
-        auto compute = [&](size_t cell) -> RunResult {
-            if (cell == hangCell) {
-                std::ofstream(marker) << "hung";
-                for (;;)
-                    ::pause();
-            }
-            return syntheticCell(cell);
-        };
-        std::vector<RunResult> out;
-        runShardedCells(dir, m, compute, out, workerOpts(0));
-        ::_exit(0); // not reached
-    }
-    // Wait for the child to wedge, then kill it without any cleanup.
-    for (int i = 0; i < 2000 && !fs::exists(marker); ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    ASSERT_TRUE(fs::exists(marker)) << "worker never reached the hang cell";
-    ASSERT_EQ(::kill(pid, SIGKILL), 0);
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFSIGNALED(status));
-
-    // The orphaned claim is still on disk.
-    ASSERT_TRUE(fs::exists(cellLeasePath(dir, m, hangCell)));
-    ASSERT_FALSE(fs::exists(cellFilePath(dir, m, hangCell)));
-
-    // Survivor with a 1 s TTL: waits out the stale lease, reclaims it,
-    // re-runs the dead worker's cell and finishes the rest.
     std::vector<RunResult> out;
-    ShardOutcome oc = runShardedCells(dir, m, syntheticCell, out,
-                                      workerOpts(0, /*ttl_sec=*/1));
-    EXPECT_GE(oc.reclaimed, 1u);
-    EXPECT_EQ(oc.computed, 4u); // hangCell + the three never-claimed cells
-    EXPECT_EQ(oc.preExisting, 2u); // the dead worker's two committed cells
-    EXPECT_EQ(oc.loaded, 6u);
+    ShardOutcome oc = runShardedCells(dir, m, compute, out, shardOpts(2));
+    EXPECT_EQ(oc.workersForked, 2u);
+    EXPECT_EQ(oc.workersFailed, 1u);
+    EXPECT_EQ(oc.computed, 6u); // 5 committed by workers + 1 at merge
+    EXPECT_TRUE(fs::exists(cellFilePath(dir, m, killCell)));
+
+    // Every cell computed once, except the killed one: once in the dead
+    // worker, once more at merge.
+    std::vector<size_t> computedTimes(m.numCells(), 0);
+    for (size_t c : loggedCells(log))
+        ++computedTimes[c];
+    for (size_t c = 0; c < m.numCells(); ++c)
+        EXPECT_EQ(computedTimes[c], c == killCell ? 2u : 1u) << "cell " << c;
 
     // Bit-identical to an undisturbed 1-shard run in a fresh directory.
     std::string refDir = dir + "/ref";
     fs::create_directories(refDir);
     std::vector<RunResult> ref;
-    runShardedCells(refDir, m, syntheticCell, ref, workerOpts(0));
+    runShardedCells(refDir, m, syntheticCell, ref, shardOpts(1));
     ASSERT_EQ(out.size(), ref.size());
     for (size_t c = 0; c < out.size(); ++c) {
         EXPECT_EQ(serializeRunResult(out[c]), serializeRunResult(ref[c]));
     }
 }
 
-TEST_F(ShardTest, FreshLeaseOfALiveWorkerIsNotReclaimed)
+/** Four workers dealing 40 cells from one counter: each cell is computed
+ *  by exactly one process. A second computation of any cell finds its
+ *  marker file already created and aborts, which fails the run. */
+TEST_F(ShardTest, EveryCellComputesExactlyOnceAcrossFourShards)
+{
+    SweepManifest m;
+    m.experiment = "once";
+    m.suiteHash = 0x0ce;
+    m.numRows = 10;
+    m.numConfigs = 4; // 40 cells
+    m.configNames = { "a", "b", "c", "d" };
+    auto compute = [&](size_t cell) {
+        std::string marker = dir + "/once-" + std::to_string(cell);
+        int fd = ::open(marker.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+        if (fd < 0)
+            std::abort();
+        ::close(fd);
+        return syntheticCell(cell);
+    };
+
+    std::vector<RunResult> out;
+    ShardOutcome oc = runShardedCells(dir, m, compute, out, shardOpts(4));
+    EXPECT_EQ(oc.workersForked, 4u);
+    EXPECT_EQ(oc.workersFailed, 0u);
+    EXPECT_EQ(oc.computed, 40u);
+    ASSERT_EQ(out.size(), 40u);
+    for (size_t c = 0; c < out.size(); ++c) {
+        EXPECT_TRUE(fs::exists(dir + "/once-" + std::to_string(c)));
+        EXPECT_EQ(serializeRunResult(out[c]),
+                  serializeRunResult(syntheticCell(c)));
+    }
+}
+
+/** A worker flushes its stdio buffers before it exits, so output the
+ *  coordinator buffered before forking would be written once by each
+ *  worker too, unless the coordinator flushes first. */
+TEST_F(ShardTest, OutputBufferedBeforeTheForkIsWrittenOnce)
 {
     SweepManifest m = syntheticManifest();
-    writeOrVerifyManifest(dir, m);
-    // Another (live) worker holds cell 0: lease fresh, no cell file. A
-    // second worker must compute everything else, then wait for the lease
-    // to expire before touching cell 0 — with a generous TTL it would
-    // block, so commit the cell from "the other worker" mid-wait.
-    LeaseRecord other;
-    other.owner = "other-host:99999";
-    ASSERT_TRUE(tryAcquireLease(cellLeasePath(dir, m, 0), other));
-
-    std::thread committer([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(300));
-        ASSERT_TRUE(saveRunResult(cellFilePath(dir, m, 0), syntheticCell(0),
-                                  true));
-        removeLease(cellLeasePath(dir, m, 0));
-    });
-    std::vector<RunResult> out;
-    ShardOutcome oc = runShardedCells(dir, m, syntheticCell, out,
-                                      workerOpts(1, /*ttl_sec=*/300));
-    committer.join();
-    EXPECT_EQ(oc.reclaimed, 0u);
-    EXPECT_EQ(oc.computed, 5u); // all but the foreign-committed cell 0
-    EXPECT_EQ(serializeRunResult(out[0]),
-              serializeRunResult(syntheticCell(0)));
+    std::string path = dir + "/stdout.txt";
+    EXPECT_EXIT(
+        {
+            // A file makes stdout fully buffered, as in `bench > out.txt`.
+            if (!std::freopen(path.c_str(), "w", stdout))
+                std::exit(2);
+            std::printf("printed before the sweep\n");
+            std::vector<RunResult> out;
+            runShardedCells(dir, m, syntheticCell, out, shardOpts(2));
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(0), "");
+    std::string text;
+    ASSERT_TRUE(readFileText(path, text));
+    EXPECT_EQ(text, "printed before the sweep\n");
 }
 
 // ------------------------------------------------------ merge robustness
@@ -288,11 +281,11 @@ TEST_F(ShardTest, CorruptCellsAreRegeneratedAndStaleTmpFilesSwept)
 {
     SweepManifest m = syntheticManifest();
     std::vector<RunResult> out;
-    runShardedCells(dir, m, syntheticCell, out, workerOpts(0));
+    runShardedCells(dir, m, syntheticCell, out, shardOpts(1));
 
     // Mangle one committed cell (checksum now fails) and truncate another,
     // then drop an orphaned tmp file from a "killed writer", backdated
-    // past the TTL, plus a fresh one that must survive.
+    // past the 120 s orphan age, plus a fresh one that must survive.
     {
         std::fstream f(cellFilePath(dir, m, 1),
                        std::ios::in | std::ios::out | std::ios::binary);
@@ -310,8 +303,7 @@ TEST_F(ShardTest, CorruptCellsAreRegeneratedAndStaleTmpFilesSwept)
     std::vector<RunResult> merged;
     ShardOutcome oc;
     CellFn compute = syntheticCell;
-    EXPECT_TRUE(mergeShardedCells(dir, m, &compute, merged,
-                                  workerOpts(0), oc));
+    EXPECT_TRUE(mergeShardedCells(dir, m, &compute, merged, oc));
     EXPECT_EQ(oc.computed, 2u); // the two mangled cells
     EXPECT_EQ(oc.loaded, 4u);
     EXPECT_EQ(oc.staleTmpRemoved, 1u);
@@ -327,8 +319,7 @@ TEST_F(ShardTest, CorruptCellsAreRegeneratedAndStaleTmpFilesSwept)
     fs::resize_file(cellFilePath(dir, m, 2), 5);
     std::vector<RunResult> partial;
     ShardOutcome oc2;
-    EXPECT_FALSE(mergeShardedCells(dir, m, nullptr, partial, workerOpts(0),
-                                   oc2));
+    EXPECT_FALSE(mergeShardedCells(dir, m, nullptr, partial, oc2));
     EXPECT_EQ(oc2.loaded, 5u);
 }
 
@@ -357,13 +348,9 @@ TEST_F(ShardTest, FourShardsOverlapForAtLeast2point5x)
     auto timeRun = [&](unsigned shards, const std::string& sub) {
         std::string d = dir + "/" + sub;
         fs::create_directories(d);
-        ShardOptions o;
-        o.shards = shards;
-        o.pollMs = 10;
-        o.batch.threads = 1;
         std::vector<RunResult> out;
         auto t0 = std::chrono::steady_clock::now();
-        runShardedCells(d, m, compute, out, o);
+        runShardedCells(d, m, compute, out, shardOpts(shards));
         return std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - t0)
             .count();
@@ -375,140 +362,17 @@ TEST_F(ShardTest, FourShardsOverlapForAtLeast2point5x)
         << "serial " << serial << "s vs 4-shard " << sharded << "s";
 }
 
-// ------------------------------------------------------- lease heartbeats
-
-/**
- * The ROADMAP lease-heartbeat drill: a cell that computes LONGER than the
- * lease TTL. The background mtime refresh must keep the held lease fresh
- * the whole time, so observers never see it as stale.
- */
-TEST_F(ShardTest, HeartbeatKeepsLeaseFreshThroughSubComputeTtl)
-{
-    SweepManifest m = syntheticManifest();
-    m.numRows = 1;
-    m.numConfigs = 1;
-    m.configNames = { "slow" };
-    auto compute = [](size_t cell) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1600));
-        return syntheticCell(cell);
-    };
-
-    ShardOutcome oc;
-    std::vector<RunResult> out;
-    std::thread worker([&] {
-        oc = runShardedCells(dir, m, compute, out, workerOpts(0, 1));
-    });
-
-    // Sample the lease's age while the cell computes: with a 1 s TTL and a
-    // ~250 ms heartbeat it must never look reclaimable.
-    std::string lp = cellLeasePath(dir, m, 0);
-    double maxAge = -1.0;
-    for (int i = 0; i < 2000 && !fs::exists(lp); ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    ASSERT_TRUE(fs::exists(lp)) << "worker never claimed the cell";
-    while (fs::exists(lp)) {
-        maxAge = std::max(maxAge, leaseAgeSeconds(lp));
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    worker.join();
-
-    EXPECT_GE(maxAge, 0.0);
-    EXPECT_LT(maxAge, 1.0) << "heartbeat failed to refresh the lease";
-    EXPECT_EQ(oc.computed, 1u);
-    EXPECT_EQ(oc.reclaimed, 0u);
-}
-
-/**
- * Two cooperating workers, cells slower than the TTL: without heartbeats
- * the idle worker would reclaim its sibling's in-progress lease and
- * benignly double-compute the cell; with them, every cell computes
- * exactly once.
- */
-TEST_F(ShardTest, NoDoubleComputationWithSlowCellsAndShortTtl)
-{
-    SweepManifest m = syntheticManifest();
-    m.numRows = 3;
-    m.numConfigs = 1; // 3 cells x 1.5 s vs a 1 s TTL
-    m.configNames = { "slow" };
-    auto compute = [](size_t cell) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1500));
-        return syntheticCell(cell);
-    };
-    auto opts = [&](int id) {
-        ShardOptions o = workerOpts(id, /*ttl_sec=*/1);
-        o.shards = 2;
-        return o;
-    };
-
-    ShardOutcome a, b;
-    std::vector<RunResult> outA, outB;
-    std::thread wa([&] { a = runShardedCells(dir, m, compute, outA,
-                                             opts(0)); });
-    std::thread wb([&] { b = runShardedCells(dir, m, compute, outB,
-                                             opts(1)); });
-    wa.join();
-    wb.join();
-
-    EXPECT_EQ(a.reclaimed + b.reclaimed, 0u);
-    EXPECT_EQ(a.computed + b.computed, 3u) << "a cell was double-computed";
-    for (size_t c = 0; c < m.numCells(); ++c) {
-        EXPECT_EQ(serializeRunResult(outA[c]),
-                  serializeRunResult(syntheticCell(c)));
-        EXPECT_EQ(serializeRunResult(outB[c]),
-                  serializeRunResult(syntheticCell(c)));
-    }
-}
-
-/**
- * The heartbeat-vs-reclaim race, from the losing side: while a worker
- * computes, its lease is usurped (as a TTL-expiry reclaim by another worker
- * would). The commit-time ownership check must detect the lost lease,
- * abandon the cell without committing over the usurper, and let the normal
- * claim loop reclaim + recompute it — exactly once, no double-commit.
- */
-TEST_F(ShardTest, LostLeaseIsDetectedAtCommitAndCellAbandoned)
-{
-    SweepManifest m = syntheticManifest();
-    m.numRows = 1;
-    m.numConfigs = 1;
-    m.configNames = { "contested" };
-    std::string lp = cellLeasePath(dir, m, 0);
-
-    unsigned invocations = 0;
-    auto compute = [&](size_t cell) -> RunResult {
-        if (++invocations == 1) {
-            // Simulate a sibling reclaiming mid-compute: our lease file is
-            // replaced by one bearing a foreign owner.
-            removeLease(lp);
-            LeaseRecord foreign;
-            foreign.owner = "other-host:4242";
-            EXPECT_TRUE(tryAcquireLease(lp, foreign));
-        }
-        return syntheticCell(cell);
-    };
-
-    std::vector<RunResult> out;
-    ShardOutcome oc = runShardedCells(dir, m, compute, out,
-                                      workerOpts(0, /*ttl_sec=*/1));
-    EXPECT_EQ(oc.abandoned, 1u);   // first pass computed but never committed
-    EXPECT_EQ(oc.computed, 1u);    // the reclaimed re-run is the only commit
-    EXPECT_GE(oc.reclaimed, 1u);   // the foreign lease aged out
-    EXPECT_EQ(invocations, 2u);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(serializeRunResult(out[0]), serializeRunResult(syntheticCell(0)));
-}
-
 /**
  * Quarantine: a cell whose regenerated checkpoint keeps failing
  * verification (every write torn via the fault shim) must be moved into
- * <dir>/quarantine/ after opts.quarantineAfter attempts instead of being
- * rewritten forever — while the in-memory result keeps the matrix complete.
+ * <dir>/quarantine/ after 3 attempts instead of being rewritten forever —
+ * while the in-memory result keeps the matrix complete.
  */
 TEST_F(ShardTest, PersistentlyCorruptCellIsQuarantined)
 {
     SweepManifest m = syntheticManifest();
     std::vector<RunResult> out;
-    runShardedCells(dir, m, syntheticCell, out, workerOpts(0));
+    runShardedCells(dir, m, syntheticCell, out, shardOpts(1));
 
     // Corrupt one committed cell, then make every rewrite tear.
     fs::resize_file(cellFilePath(dir, m, 2), 5);
@@ -517,8 +381,7 @@ TEST_F(ShardTest, PersistentlyCorruptCellIsQuarantined)
     std::vector<RunResult> merged;
     ShardOutcome oc;
     CellFn compute = syntheticCell;
-    EXPECT_TRUE(mergeShardedCells(dir, m, &compute, merged, workerOpts(0),
-                                  oc));
+    EXPECT_TRUE(mergeShardedCells(dir, m, &compute, merged, oc));
     clearFaultPlan();
 
     EXPECT_GE(oc.corruptCells, 1u);
@@ -535,58 +398,21 @@ TEST_F(ShardTest, PersistentlyCorruptCellIsQuarantined)
     }
 }
 
-/**
- * The lease-expiry skew guard: with injected clock skew larger than the
- * lease's raw age, the adjusted age goes negative. It must be clamped to 0
- * (fresh — never "instantly reclaimable") and counted, and the sweep must
- * still complete once the lease's real owner commits the cell.
- */
-TEST_F(ShardTest, ClockSkewOnLeaseAgeIsClampedNotReclaimed)
-{
-    SweepManifest m = syntheticManifest();
-    m.numRows = 1;
-    m.numConfigs = 1;
-    m.configNames = { "skewed" };
-    writeOrVerifyManifest(dir, m);
-    std::string lp = cellLeasePath(dir, m, 0);
-    LeaseRecord other;
-    other.owner = "other-host:99999";
-    ASSERT_TRUE(tryAcquireLease(lp, other));
-
-    installFaultPlan("lease.age:skew@400");
-    std::thread committer([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(300));
-        ASSERT_TRUE(saveRunResult(cellFilePath(dir, m, 0), syntheticCell(0),
-                                  true));
-        removeLease(lp);
-    });
-    std::vector<RunResult> out;
-    ShardOutcome oc = runShardedCells(dir, m, syntheticCell, out,
-                                      workerOpts(0, /*ttl_sec=*/300));
-    committer.join();
-    clearFaultPlan();
-
-    EXPECT_GE(oc.skewClamped, 1u); // raw age ~0 minus 400 s of skew
-    EXPECT_EQ(oc.reclaimed, 0u);   // clamped-to-fresh is never reclaimed
-    EXPECT_EQ(oc.computed, 0u);    // the real owner's commit was honored
-    EXPECT_EQ(serializeRunResult(out[0]),
-              serializeRunResult(syntheticCell(0)));
-}
-
 // ------------------------------------------------ cost-aware scheduling
 
-/** Shard-aware scheduling from the per-cell `.cost` sidecars: a worker
+/** Shard-aware scheduling from the per-cell `.cost` sidecars: a sweep
  *  resuming a directory whose committed cells recorded their compute
- *  seconds claims the remaining cells most expensive config first (rows
- *  ascending within a config); a fresh directory claims in stride order;
- *  a non-numeric sidecar is skipped, never read as its numeric prefix. */
+ *  seconds deals the remaining cells most expensive config first (rows
+ *  ascending within a config); a fresh directory deals them in index
+ *  order; a non-numeric sidecar is skipped, never read as its numeric
+ *  prefix. */
 TEST_F(ShardTest, CostModelClaimsExpensiveCellsFirst)
 {
     SweepManifest m = syntheticManifest();
     m.numRows = 3;
     m.configNames = { "fast", "mid", "slow" }; // cell = row * 3 + cfg
 
-    // Commit row 0 with sidecars; returns the order the rest was claimed.
+    // Commit row 0 with sidecars; returns the order the rest was taken in.
     auto resumeWith = [&](const std::string& d,
                           const std::vector<std::string>& sidecars) {
         fs::create_directories(d);
@@ -595,22 +421,22 @@ TEST_F(ShardTest, CostModelClaimsExpensiveCellsFirst)
             EXPECT_TRUE(saveRunResult(cell, syntheticCell(c)));
             EXPECT_TRUE(writeFileAtomic(cell + ".cost", sidecars[c]));
         }
-        std::vector<size_t> order;
+        std::string log = d + "/order.log";
         std::vector<RunResult> out;
         ShardOutcome oc = runShardedCells(
             d, m,
             [&](size_t cell) {
-                order.push_back(cell); // serial worker: no locking needed
+                logCell(log, cell); // one worker: the log is the order
                 return syntheticCell(cell);
             },
-            out, workerOpts(0));
+            out, shardOpts(1));
         EXPECT_EQ(oc.preExisting, sidecars.size());
         EXPECT_EQ(oc.computed, m.numCells() - sidecars.size());
         for (size_t c = 0; c < m.numCells(); ++c) {
             EXPECT_EQ(serializeRunResult(out[c]),
                       serializeRunResult(syntheticCell(c)));
         }
-        return order;
+        return loggedCells(log);
     };
 
     // slow (cfg 2) > mid (cfg 1) > fast (cfg 0).
@@ -626,22 +452,9 @@ TEST_F(ShardTest, CostModelClaimsExpensiveCellsFirst)
                                        "9.5x\n" });
     EXPECT_EQ(skipped, (std::vector<size_t> { 4, 7, 5, 8, 3, 6 }));
 
-    // A fresh directory has no sidecars: worker 1 of 3 starts a third of
-    // the way in and wraps around.
-    std::string fresh = dir + "/fresh";
-    fs::create_directories(fresh);
-    std::vector<size_t> stride;
-    ShardOptions o = workerOpts(1);
-    o.shards = 3;
-    std::vector<RunResult> out;
-    runShardedCells(
-        fresh, m,
-        [&](size_t cell) {
-            stride.push_back(cell);
-            return syntheticCell(cell);
-        },
-        out, o);
-    EXPECT_EQ(stride, (std::vector<size_t> { 3, 4, 5, 6, 7, 8, 0, 1, 2 }));
+    // A fresh directory has no sidecars: cells go in index order.
+    std::vector<size_t> fresh = resumeWith(dir + "/fresh", {});
+    EXPECT_EQ(fresh, (std::vector<size_t> { 0, 1, 2, 3, 4, 5, 6, 7, 8 }));
 }
 
 // --------------------------------------------------- experiment integration
@@ -715,57 +528,55 @@ TEST_F(ShardTest, ForkCoordinatorWithoutCheckpointDirUsesScratch)
               resultFingerprint(ref.matrix()));
 }
 
-TEST_F(ShardTest, WorkerModeRequiresCheckpointDir)
+/** Mops/s counts only the cells a run simulates: rerunning a finished
+ *  sharded sweep resumes every cell, so its closing status reads 0. */
+TEST_F(ShardTest, ResumedShardedRerunReportsZeroMops)
 {
     ExperimentOptions o = tinyOpts();
     o.shards = 2;
-    o.shardId = 1;
+    o.checkpointDir = dir;
     Suite suite = Suite::fromSpecs(twoSpecs(), o);
-    Experiment e("nockpt", suite, o);
-    e.add("baseline", mechFor("baseline"));
-    EXPECT_EXIT(e.run(), ::testing::ExitedWithCode(1),
-                "needs --checkpoint-dir");
+    auto runAndReadStatus = [&] {
+        Experiment("resumed", suite, o)
+            .add("baseline", mechFor("baseline"))
+            .add("constable", mechFor("constable"))
+            .run();
+        std::string status;
+        for (const auto& e : fs::recursive_directory_iterator(dir)) {
+            if (e.path().filename() == "status.json")
+                status = obsReadStatus(e.path().string());
+        }
+        return status;
+    };
+    std::string first = runAndReadStatus();
+    EXPECT_NE(first.find("\"state\":\"done\""), std::string::npos) << first;
+    EXPECT_EQ(first.find("\"mops\":0.000"), std::string::npos) << first;
+    std::string rerun = runAndReadStatus();
+    EXPECT_NE(rerun.find("\"state\":\"done\""), std::string::npos) << rerun;
+    EXPECT_NE(rerun.find("\"mops\":0.000"), std::string::npos) << rerun;
 }
 
 TEST_F(ShardTest, ShardIdBeyondShardCountIsFatal)
 {
-    ExperimentOptions o = tinyOpts();
-    o.shards = 2;
-    o.shardId = 2;
-    EXPECT_EXIT(o.shard(), ::testing::ExitedWithCode(1), "out of range");
-
     // A shard count set directly (as perfbench/passes.cc sets it) must
     // meet the same cap --shards and CONSTABLE_SHARDS enforce.
+    ExperimentOptions o = tinyOpts();
     o.shards = ShardOptions::kMaxShards + 1;
-    o.shardId = -1;
     EXPECT_EXIT(o.shard(), ::testing::ExitedWithCode(1), "out of range");
 }
 
 TEST(ShardOptionsParse, FlagsAndEnvRoundTrip)
 {
-    const char* argv[] = { "prog", "--shards=4", "--shard-id=2",
-                           "--lease-ttl-sec=7", "--shard-poll-ms=5" };
+    const char* argv[] = { "prog", "--shards=4" };
     auto opts = ExperimentOptions::fromArgs(
         static_cast<int>(std::size(argv)), const_cast<char**>(argv));
     EXPECT_EQ(opts.shards, 4u);
-    EXPECT_EQ(opts.shardId, 2);
-    EXPECT_EQ(opts.leaseTtlSec, 7u);
-    EXPECT_EQ(opts.shardPollMs, 5u);
-    EXPECT_FALSE(opts.printsReport()); // shard 2 stays silent
-    ShardOptions s = opts.shard();
-    EXPECT_EQ(s.shards, 4u);
-    EXPECT_EQ(s.shardId, 2);
-    EXPECT_EQ(s.leaseTtlSec, 7u);
-    EXPECT_EQ(s.pollMs, 5u);
+    EXPECT_EQ(opts.shard().shards, 4u);
 
     setenv("CONSTABLE_SHARDS", "3", 1);
-    setenv("CONSTABLE_SHARD_ID", "0", 1);
     auto env = ExperimentOptions::fromEnv();
     unsetenv("CONSTABLE_SHARDS");
-    unsetenv("CONSTABLE_SHARD_ID");
     EXPECT_EQ(env.shards, 3u);
-    EXPECT_EQ(env.shardId, 0);
-    EXPECT_TRUE(env.printsReport()); // shard 0 is the reporter
 }
 
 TEST(ShardOptionsParseDeathTest, OutOfRangeValuesAreFatal)
@@ -779,6 +590,19 @@ TEST(ShardOptionsParseDeathTest, OutOfRangeValuesAreFatal)
             ExperimentOptions::fromEnv();
         },
         ::testing::ExitedWithCode(1), "CONSTABLE_SHARDS");
+}
+
+/** Workers are only ever forked by a coordinator: the flags of separately
+ *  launched workers are unknown arguments. */
+TEST(ShardOptionsParseDeathTest, RetiredWorkerFlagsAreRejected)
+{
+    for (const char* flag :
+         { "--shard-id=1", "--lease-ttl-sec=7", "--shard-poll-ms=5" }) {
+        const char* argv[] = { "prog", flag };
+        EXPECT_EXIT(ExperimentOptions::fromArgs(2, const_cast<char**>(argv)),
+                    ::testing::ExitedWithCode(1), "unknown argument")
+            << flag;
+    }
 }
 
 } // namespace

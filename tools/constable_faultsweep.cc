@@ -1,7 +1,7 @@
 /**
  * @file
  * Fault-injection sweep driver: the executable proof that every recovery
- * path advertised by the checkpoint/lease/cache tiers actually works.
+ * path advertised by the checkpoint/shard/cache tiers actually works.
  *
  * The driver enumerates the compiled-in fault-point registry
  * (common/faultio.hh) and, for every (point, action) pair the point's
@@ -9,23 +9,25 @@
  * armed via CONSTABLE_FAULT_PLAN:
  *
  *  - "read"/"sync" points take eio and crash,
- *  - "write" points take eio, torn and crash,
- *  - "clock" points take skew.
+ *  - "write" points take eio, torn and crash.
  *
- * The child (`--run-sweep`) runs a real workload: a worker-mode sharded
- * experiment (lease claims, heartbeats, manifest, per-cell checkpoints).
- * It prints its final matrix fingerprint and the armed clause's hit
- * counts.
+ * The child (`--run-sweep`) runs a real workload: a 2-shard experiment
+ * (trace cache, manifest, forked workers committing per-cell checkpoints,
+ * merge). It prints its final matrix fingerprint. The forked workers
+ * inherit the armed plan and write to the same log, so a fault that
+ * fires in any process of a launch leaves its "faultio: injected" notice
+ * there.
  *
  * A pair PASSES when the child's fingerprint is bit-identical to the
  * fault-free baseline — crash points included, after re-launching into
- * the same checkpoint + crash-marker directories — or when every launch
- * exited loudly nonzero (a detected, reported failure). It FAILS on a
- * silent fingerprint mismatch, when the armed fault never fired (a
- * registry entry whose call site has gone dead), or when an atomic.*
- * fault landed on a file other than the sweep manifest or a checkpoint
- * cell (a best-effort write such as status.json took the hit, so the
- * recovery path under test never saw it).
+ * the same checkpoint + crash-marker directories, or after the merge
+ * recomputed a crashed worker's cell — or when every launch exited
+ * loudly nonzero (a detected, reported failure). It FAILS on a silent
+ * fingerprint mismatch, when the armed fault never fired (a registry
+ * entry whose call site has gone dead), or when an atomic.* fault landed
+ * on a file other than the sweep manifest or a checkpoint cell (a
+ * best-effort write such as status.json took the hit, so the recovery
+ * path under test never saw it).
  */
 
 #include <fcntl.h>
@@ -33,7 +35,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -45,7 +46,6 @@
 #include "common/obs.hh"
 #include "sim/experiment.hh"
 #include "sim/scenario.hh"
-#include "sim/shard.hh"
 #include "workloads/suite.hh"
 
 namespace {
@@ -56,12 +56,11 @@ namespace fs = std::filesystem;
 constexpr unsigned kLaunchesPerRun = 3;
 
 /**
- * Worker-mode sharded sweep: one process claims every cell itself, so
- * lease acquire/read/release/heartbeat, manifest I/O and cell commits
- * all fire in this process (hit counts stay observable) and an injected
- * crash kills the only worker — recovery is the re-launch resuming from
- * the shared checkpoint directory. A stale foreign lease planted on cell
- * 0 forces the reclaim path (and its skew-guarded age read) every run.
+ * 2-shard sweep: the coordinator prepares the suite and writes the
+ * manifest, two forked workers compute and commit the cells, and the
+ * coordinator merges them. An injected crash in the coordinator is
+ * recovered by the re-launch resuming from the checkpoint directory; one
+ * in a worker, by the merge recomputing that worker's cell.
  */
 int
 runSweepChild()
@@ -78,10 +77,7 @@ runSweepChild()
     opts.traceOutPath.clear();
     opts.metricsOutPath.clear();
     obsReset();
-    opts.leaseTtlSec = 2;
-    opts.shardPollMs = 50;
     opts.shards = 2;
-    opts.shardId = 0;
     if (opts.checkpointDir.empty())
         fatal("--run-sweep needs CONSTABLE_CHECKPOINT_DIR");
 
@@ -94,32 +90,10 @@ runSweepChild()
     exp.addPreset("baseline");
     exp.addPreset("constable");
 
-    SweepManifest manifest;
-    std::string dir = exp.checkpointDirFor(opts.checkpointDir,
-                                           /*smt=*/false, manifest,
-                                           suite.size());
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    LeaseRecord foreign;
-    foreign.owner = "faultsweep-foreign";
-    foreign.shardId = 1;
-    std::string lp = cellLeasePath(dir, manifest, 0);
-    if (tryAcquireLease(lp, foreign)) {
-        // Backdate far past both the TTL (2 s) and any injected skew
-        // (default 300 s), so the reclaim fires even under "skew".
-        fs::last_write_time(
-            lp, fs::file_time_type::clock::now() - std::chrono::seconds(500),
-            ec);
-    }
-
     ExperimentResult res = exp.run();
     std::printf("result fingerprint: %016llx\n",
                 static_cast<unsigned long long>(
                     resultFingerprint(res.matrix())));
-    for (const auto& [point, hits] : faultArmedHits()) {
-        std::printf("fault hits: %s %llu\n", point.c_str(),
-                    static_cast<unsigned long long>(hits));
-    }
     std::fflush(stdout);
     return 0;
 }
@@ -132,8 +106,6 @@ actionsFor(const std::string& kind)
 {
     if (kind == "write")
         return { "eio", "torn", "crash" };
-    if (kind == "clock")
-        return { "skew" };
     return { "eio", "crash" }; // read, sync
 }
 
@@ -180,21 +152,14 @@ parseHexToken(const char* s)
     return v;
 }
 
-uint64_t
-parseDecToken(const char* s)
-{
-    uint64_t v = 0;
-    while (*s >= '0' && *s <= '9')
-        v = v * 10 + static_cast<uint64_t>(*s++ - '0');
-    return v;
-}
-
 struct LaunchResult
 {
     int exitCode = -1;    ///< child exit code; -1 on signal death
     uint64_t fingerprint = 0;
     bool haveFingerprint = false;
-    uint64_t armedHits = 0; ///< summed hits of the armed point
+    /** Some process of this or an earlier launch into the same log
+     *  announced an injection at the armed point. */
+    bool fired = false;
     /** File the armed point's first injection hit inside writeFileAtomic
      *  (from the shim's "faultio: injected" notice); empty if none. */
     std::string injectedInto;
@@ -256,15 +221,11 @@ launchChild(const char* self, const std::string& plan,
             r.fingerprint = parseHexToken(
                 log.c_str() + at + std::strlen("result fingerprint: "));
         }
-        std::string tag = "fault hits: " + point + " ";
-        for (size_t pos = log.find(tag); pos != std::string::npos;
-             pos = log.find(tag, pos + 1)) {
-            r.armedHits +=
-                parseDecToken(log.c_str() + pos + tag.size());
-        }
+        std::string notice = "at fault point '" + point + "'";
+        r.fired = !point.empty() && log.find(notice) != std::string::npos;
         // The log accumulates across launches, so the first notice is the
         // first launch's first injection.
-        std::string notice = "at fault point '" + point + "' while writing '";
+        notice += " while writing '";
         size_t nat = log.find(notice);
         if (nat != std::string::npos) {
             nat += notice.size();
@@ -300,8 +261,6 @@ runDriver(const char* self)
     for (const FaultPointInfo& p : faultPointTable()) {
         for (const std::string& action : actionsFor(p.kind)) {
             std::string plan = std::string(p.name) + ":" + action + "@1";
-            if (action == "skew")
-                plan = std::string(p.name) + ":skew@400";
             std::string runDir = scratch + "/run-" +
                                  sanitizeFileName(plan);
             std::string markerDir = runDir + "/markers";
@@ -320,19 +279,18 @@ runDriver(const char* self)
             fs::create_directories(traceDir);
 
             bool crashed = false, loud = false, silent = false;
-            bool recovered = false;
-            uint64_t hits = 0;
+            bool recovered = false, fired = false;
             std::string target;
             for (unsigned launch = 0; launch < kLaunchesPerRun; ++launch) {
                 LaunchResult r = launchChild(
                     self, plan, p.name, markerDir, ckptDir, traceDir,
                     runDir + "/log.txt");
                 target = r.injectedInto;
+                fired = r.fired;
                 if (r.exitCode == kFaultCrashExitCode) {
                     crashed = true;
                     continue; // relaunch into the same directories
                 }
-                hits = r.armedHits;
                 if (r.exitCode == 0 && r.haveFingerprint) {
                     recovered = r.fingerprint == want;
                     silent = !recovered;
@@ -342,7 +300,7 @@ runDriver(const char* self)
                 break;
             }
 
-            bool exercised = crashed || hits > 0;
+            bool exercised = crashed || fired;
             bool offTarget = std::strncmp(p.name, "atomic.", 7) == 0 &&
                              exercised && !durableSweepFile(target);
             bool ok = exercised && !offTarget && !silent &&
@@ -359,7 +317,9 @@ runDriver(const char* self)
                         : silent          ? " (silent fingerprint mismatch)"
                         : loud            ? " (loud nonzero exit)"
                         : crashed         ? " (crash + relaunch recovered)"
-                                          : "");
+                        : action == "crash"
+                            ? " (worker crash recovered at merge)"
+                            : "");
             if (ok) {
                 ++pass;
             } else {

@@ -19,8 +19,8 @@
  *                  RunResult fingerprints must be bit-identical across
  *                  thread counts, shard counts and resume, so simulator
  *                  code must not read wall-clock or ambient randomness.
- *                  Escape hatch for legitimate wall-clock sites (lease
- *                  timestamps): `// lint:wallclock <why>`.
+ *                  Escape hatch for legitimate wall-clock sites (the
+ *                  status.json freshness stamp): `// lint:wallclock <why>`.
  *   unordered-iter iterating an unordered_map/unordered_set in a file that
  *                  also touches serialization, fingerprints, or report
  *                  printing is flagged: hash-order leaking into bytes or
@@ -50,11 +50,11 @@
  *                  constable-faultsweep can prove its recovery path and
  *                  no private writer regrows. std::filesystem:: spellings
  *                  (fs::rename etc.) are exempt; justified raw sites
- *                  (lease creation, mmap) carry `// lint:rawio <why>`.
+ *                  (the trace mmap) carry `// lint:rawio <why>`.
  *   raw-log        direct fprintf(stderr, ...) is banned in src/sim and
  *                  src/trace: diagnostics must route through
- *                  warn()/inform()/warnOnce() (common/logging.hh) so
- *                  CONSTABLE_LOG_LEVEL can gate them and dedup applies.
+ *                  warn()/inform() (common/logging.hh) so
+ *                  CONSTABLE_LOG_LEVEL can gate them.
  *                  Justified sites carry `// lint:rawlog <why>`.
  */
 
@@ -500,7 +500,7 @@ checkRawLog(const SourceFile& sf, std::vector<Violation>& out)
         out.push_back({ sf.path, l + 1, "raw-log",
                         "direct fprintf(stderr, ...) is banned in "
                         "sim/trace: route diagnostics through "
-                        "warn()/inform()/warnOnce() (common/logging.hh) so "
+                        "warn()/inform() (common/logging.hh) so "
                         "CONSTABLE_LOG_LEVEL gates them (justify "
                         "exceptions with // lint:rawlog <why>)" });
     }

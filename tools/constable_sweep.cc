@@ -10,23 +10,18 @@
  * row-major order) so runs at different shard/thread counts can be
  * diffed for bit-identity. Every verb below takes the same preset list.
  *
- * Single machine, 4 worker processes:
- *   constable-sweep --shards=4
+ * 4 forked worker processes, resumable from a checkpoint directory:
+ *   constable-sweep --shards=4 --checkpoint-dir=ck
  *
  * A subset, or the SMT2 pairs:
  *   constable-sweep --mech=baseline,constable,eves+constable --smt
  *
- * Fleet on a shared filesystem (one process per machine; any worker can
- * also crash and be replaced — its leased cells are reclaimed):
- *   machine k:  constable-sweep --shards=8 --shard-id=k \
- *                   --checkpoint-dir=/shared/sweep
- *
- * Assemble a finished fleet's matrix without simulating anything:
- *   constable-sweep --merge-only --checkpoint-dir=/shared/sweep
+ * Assemble a finished sweep's matrix without simulating anything:
+ *   constable-sweep --merge-only --checkpoint-dir=ck
  *
  * Watch a running sweep from another terminal (reads the status.json the
  * sweep atomically rewrites next to its cell checkpoints):
- *   constable-sweep --status --checkpoint-dir=/shared/sweep
+ *   constable-sweep --status --checkpoint-dir=ck
  */
 
 #include <algorithm>
@@ -221,9 +216,7 @@ sweepMain(int argc, char** argv)
     Suite suite = Suite::prepare(opts, /*inspect=*/true);
     if (sampleCheck)
         return sampleCheckMain(sc, suite, opts, sampleCheckBound);
-    ExperimentResult res = runScenario(sc, suite, opts, mergeOnly);
-    if (opts.printsReport())
-        printScenarioReport(sc, res);
+    printScenarioReport(sc, runScenario(sc, suite, opts, mergeOnly));
     return 0;
 }
 
