@@ -15,7 +15,6 @@
 
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "common/rng.hh"
 
 namespace constable {
 
@@ -66,8 +65,8 @@ struct FaultClause
 {
     std::string point;
     FaultAction action = FaultAction::None;
-    /** eio/enospc/torn: inject while hits <= param; crash: fire on the
-     *  param-th hit. */
+    /** eio/torn: inject while hits <= param; crash: fire on the param-th
+     *  hit. */
     uint64_t param = 1;
     uint64_t hits = 0;
     bool announced = false; ///< first injection already reported
@@ -78,7 +77,6 @@ struct FaultState
     std::mutex mu;
     std::vector<FaultClause> clauses;
     std::string markerDir;
-    uint64_t seed = 0x5eedfa17ull;
 };
 
 /** Never destroyed: the obs atexit writers commit through writeFileAtomic
@@ -98,7 +96,7 @@ thread_local bool tl_tornPending = false;
 thread_local const std::string* tl_writing = nullptr;
 
 /** One stderr line per injection that matters to a reader of the log: a
- *  crash, and the first eio/enospc/torn of each clause. constable-
+ *  crash, and the first eio/torn of each clause. constable-
  *  faultsweep reads it back to check which file a fault landed on. */
 void
 announceInjection(const char* action, const char* point)
@@ -137,14 +135,12 @@ parseAction(const std::string& s, const std::string& clause)
 {
     if (s == "eio")
         return FaultAction::Eio;
-    if (s == "enospc")
-        return FaultAction::Enospc;
     if (s == "torn")
         return FaultAction::Torn;
     if (s == "crash")
         return FaultAction::Crash;
     fatal("fault plan clause '" + clause + "': unknown action '" + s +
-          "' (eio|enospc|torn|crash)");
+          "' (eio|torn|crash)");
 }
 
 /** Parse "point:action[@N]" clauses joined by ';' or ','. */
@@ -224,8 +220,6 @@ installLocked(FaultState& s, const std::string& spec,
 {
     s.clauses = parsePlan(spec);
     s.markerDir = marker_dir;
-    if (auto v = envU64("CONSTABLE_FAULT_SEED"))
-        s.seed = *v;
     detail::faultArmed.store(!s.clauses.empty(),
                              std::memory_order_relaxed);
 }
@@ -286,7 +280,6 @@ faultFailedSlow(const char* point)
             ++c.hits;
             switch (c.action) {
               case FaultAction::Eio:
-              case FaultAction::Enospc:
               case FaultAction::Torn:
                 if (c.hits <= c.param)
                     act = c.action;
@@ -307,10 +300,8 @@ faultFailedSlow(const char* point)
     }
     switch (act) {
       case FaultAction::Eio:
-      case FaultAction::Enospc:
         if (first)
-            announceInjection(act == FaultAction::Eio ? "eio" : "enospc",
-                              point);
+            announceInjection("eio", point);
         return true;
       case FaultAction::Torn:
         if (first)
@@ -402,32 +393,6 @@ faultArmedHits()
     return out;
 }
 
-unsigned
-backoffDelayMs(const char* point, unsigned attempt, const BackoffPolicy& p)
-{
-    double delay = static_cast<double>(p.baseMs);
-    for (unsigned k = 0; k < attempt; ++k)
-        delay *= p.mult;
-    // Jitter from a per-(point, attempt) stream: deterministic across
-    // runs and threads (never wall clock or a global RNG), yet distinct
-    // points desynchronize instead of thundering-herding their retries.
-    uint64_t pointHash = 0xcbf29ce484222325ull;
-    for (const char* c = point; *c; ++c) {
-        pointHash ^= static_cast<uint8_t>(*c);
-        pointHash *= 0x100000001b3ull;
-    }
-    uint64_t seed;
-    {
-        FaultState& s = state();
-        std::lock_guard<std::mutex> lk(s.mu);
-        seed = s.seed;
-    }
-    Rng rng(Rng::splitmix(seed ^ pointHash ^ attempt));
-    delay *= 1.0 + p.jitterFrac * rng.uniform();
-    delay = std::min(delay, static_cast<double>(p.capMs));
-    return static_cast<unsigned>(delay);
-}
-
 FaultRetryObserver
 setFaultRetryObserver(FaultRetryObserver fn)
 {
@@ -458,9 +423,9 @@ namespace {
 
 /** Per-write unique tmp suffix: pid + process-random nonce + counter.
  *  Sharded sweeps have many processes (and threads) writing into one
- *  directory, possibly targeting the same entry (every shard worker
- *  rewrites status.json); a pid-only suffix would let two threads of one
- *  process collide. */
+ *  directory, possibly targeting the same entry (sweeps racing on one
+ *  manifest or trace-cache entry); a pid-only suffix would let two
+ *  threads of one process collide. */
 std::string
 tmpSuffix()
 {

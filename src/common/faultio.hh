@@ -18,10 +18,10 @@
  *
  *     plan   := clause (';' clause)*            (',' also accepted)
  *     clause := point ':' action ['@' N]
- *     action := eio | enospc | torn | crash
+ *     action := eio | torn | crash
  *
- *  - eio/enospc fail the point's first N hits (default 1), then heal:
- *    the transient-failure model the retry/backoff policy must absorb.
+ *  - eio fails the point's first N hits (default 1), then heals: the
+ *    transient-failure model the retry schedule must absorb.
  *  - torn arms a torn-write for the first N hits: the next atomic write
  *    silently commits only half its payload (rename still happens), the
  *    corruption the trailing checksums must catch.
@@ -30,7 +30,7 @@
  *    file there with O_EXCL; an existing marker disarms the crash, so a
  *    re-launched process recovers instead of crash-looping.
  *
- * Each crash, and the first eio/enospc/torn of each clause, prints one
+ * Each crash, and the first eio/torn of each clause, prints one
  * "faultio: injected ..." line on stderr naming the point and, inside
  * writeFileAtomic, the file being written.
  *
@@ -60,9 +60,9 @@ namespace constable {
 inline constexpr int kFaultCrashExitCode = 86;
 
 /** What an armed plan wants a call site to do. Call sites only ever see
- *  Eio/Enospc (as `true` from faultFailed); Torn is delivered through the
+ *  Eio (as `true` from faultFailed); Torn is delivered through the
  *  pending torn-write flag, and Crash never returns. */
-enum class FaultAction : uint8_t { None, Eio, Enospc, Torn, Crash };
+enum class FaultAction : uint8_t { None, Eio, Torn, Crash };
 
 /** One registered fault point. `kind` drives which actions the faultsweep
  *  driver arms: "read" and "sync" take eio+crash, "write" takes
@@ -93,7 +93,7 @@ void faultEnsureEnvPlan();
 
 /**
  * The main hook: returns true when the armed plan injects a transient
- * failure (EIO/ENOSPC) at this point — the call site then behaves exactly
+ * failure (EIO) at this point — the call site then behaves exactly
  * as if the corresponding syscall failed. Torn arms the pending torn-write
  * flag and returns false; crash does not return.
  * With no plan armed this is one atomic load.
@@ -167,27 +167,14 @@ uint64_t faultPointHits(const std::string& point);
 /** (point, hits) for every clause of the armed plan, in plan order. */
 std::vector<std::pair<std::string, uint64_t>> faultArmedHits();
 
-// ------------------------------------------------- deterministic retry
+// ------------------------------------------------------------ fixed retry
 
 /**
- * Exponential backoff with *seeded* jitter: delay for attempt k is
- * baseMs * mult^k, scaled by a jitter factor drawn from an Rng seeded
- * from (CONSTABLE_FAULT_SEED ^ hash(point) ^ k) — the same point and
- * attempt always back off identically, across runs and across threads,
- * so TSan/golden jobs see one schedule.
+ * The sleeps between the 4 tries of retryWithBackoff(). Retries follow an
+ * I/O error, never a lost race (an atomic rename cannot lose one), so the
+ * schedule is fixed: no jitter to spread contending writers apart.
  */
-struct BackoffPolicy
-{
-    unsigned attempts = 4;    ///< total tries (1 initial + attempts-1 retries)
-    unsigned baseMs = 5;      ///< first retry delay
-    double mult = 2.0;        ///< per-attempt multiplier
-    double jitterFrac = 0.5;  ///< delay *= 1 + jitterFrac * uniform[0,1)
-    unsigned capMs = 1000;    ///< hard per-delay ceiling
-};
-
-/** The deterministic delay before retry `attempt` (0-based) of `point`. */
-unsigned backoffDelayMs(const char* point, unsigned attempt,
-                        const BackoffPolicy& p = {});
+inline constexpr unsigned kRetrySleepMs[] = { 5, 10, 20 };
 
 /** Sleep hook: tests swap in a counting no-op so retry paths run at full
  *  speed and deterministically under TSan. Returns the previous hook;
@@ -216,25 +203,23 @@ extern std::atomic<FaultRetryObserver> retryObserver;
 FaultRetryObserver setFaultRetryObserver(FaultRetryObserver fn);
 
 /**
- * Run `fn` until it returns true, sleeping backoffDelayMs() between
- * tries, up to p.attempts total tries. Returns the final outcome. The
- * transient-failure absorber for checkpoint commits and manifest writes.
+ * Run `fn` until it returns true, up to 4 tries, sleeping kRetrySleepMs
+ * between them. Returns the final outcome. The transient-failure absorber
+ * for checkpoint commits and manifest writes.
  */
 template <typename Fn>
 bool
-retryWithBackoff(const char* point, Fn&& fn, const BackoffPolicy& p = {})
+retryWithBackoff(const char* point, Fn&& fn)
 {
-    for (unsigned attempt = 0;; ++attempt) {
+    for (unsigned ms : kRetrySleepMs) {
         if (fn())
             return true;
-        if (attempt + 1 >= p.attempts)
-            return false;
-        unsigned ms = backoffDelayMs(point, attempt, p);
         faultSleepMs(ms);
         if (FaultRetryObserver ob =
                 detail::retryObserver.load(std::memory_order_relaxed))
             ob(point, ms);
     }
+    return fn();
 }
 
 } // namespace constable

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -53,7 +52,6 @@ struct Registry
 {
     std::mutex mu;
     std::map<std::string, std::unique_ptr<ObsCounter>> counters;
-    std::map<std::string, std::unique_ptr<ObsHistogram>> histograms;
     /** Thread lanes in registration order, then synthetic lanes; lanes
      *  are never destroyed (thread_local pointers outlive their thread's
      *  useful life only until process exit). */
@@ -200,8 +198,7 @@ struct ProgressState
     std::string label;
     std::string statusPath;
     size_t total = 0;
-    size_t doneLocal = 0;
-    size_t doneExternal = 0;
+    size_t done = 0;
     uint64_t ops = 0;
     unsigned intervalSec = 10;
     uint64_t beginUs = 0;
@@ -239,12 +236,12 @@ void
 progressEmitLocked(ProgressState& p, bool final)
 {
     uint64_t nowUs = obsdetail::obsNowUs();
-    size_t done = std::max(p.doneLocal, p.doneExternal);
+    size_t done = p.done;
     double elapsedSec =
         static_cast<double>(nowUs - p.beginUs) / 1e6;
 
     // Rolling Mops/s over the window since the last report; overall
-    // average when the window carries no ops (e.g. external-scan ticks).
+    // average when the window carries no ops (e.g. resumed cells).
     auto mopsOver = [&](uint64_t ops, double sec) {
         return sec > 0.0 ? static_cast<double>(ops) / sec / 1e6 : 0.0;
     };
@@ -255,7 +252,7 @@ progressEmitLocked(ProgressState& p, bool final)
             : mopsOver(p.ops, elapsedSec);
 
     // Observed-cost ETA: remaining cells at the average per-cell
-    // wall-clock so far (the same model the sharded claim order uses).
+    // wall-clock so far (the same model the cost-ranked deal order uses).
     uint64_t etaSec = 0;
     if (done > 0 && done < p.total) {
         etaSec = static_cast<uint64_t>(
@@ -381,9 +378,7 @@ void
 faultRetryObserved(const char* point, unsigned ms)
 {
     static ObsCounter& retries = obsCounter("faultio.retries");
-    static ObsHistogram& backoff = obsHistogram("faultio.backoff_ms");
     retries.add();
-    backoff.record(ms);
     uint64_t nowUs = obsdetail::obsNowUs();
     uint64_t durUs = static_cast<uint64_t>(ms) * 1000;
     obsEmitSpan("", std::string("fault.backoff:") + point, "faultio",
@@ -428,11 +423,9 @@ obsReset()
     setFaultRetryObserver(nullptr);
     Registry& r = reg();
     std::lock_guard<std::mutex> lk(r.mu);
-    // Counter and histogram objects must survive (call sites hold static
-    // references), so values reset in place.
+    // Counter objects must survive (call sites hold static references), so
+    // values reset in place.
     for (auto& kv : r.counters)
-        kv.second->reset();
-    for (auto& kv : r.histograms)
         kv.second->reset();
     for (auto& l : r.lanes) {
         l->spans.clear();
@@ -450,17 +443,6 @@ obsCounter(const std::string& name)
     auto& slot = r.counters[name];
     if (!slot)
         slot = std::make_unique<ObsCounter>();
-    return *slot;
-}
-
-ObsHistogram&
-obsHistogram(const std::string& name)
-{
-    Registry& r = reg();
-    std::lock_guard<std::mutex> lk(r.mu);
-    auto& slot = r.histograms[name];
-    if (!slot)
-        slot = std::make_unique<ObsHistogram>();
     return *slot;
 }
 
@@ -534,22 +516,6 @@ obsWriteMetrics(const std::string& path)
                    "\": " + std::to_string(c->value());
             first = false;
         }
-        out += "\n  },\n  \"histograms\": {";
-        first = true;
-        for (const auto& [name, h] : r.histograms) {
-            out += first ? "\n" : ",\n";
-            out += "    \"" + jsonEscape(name) +
-                   "\": {\"count\": " + std::to_string(h->count()) +
-                   ", \"sum\": " + std::to_string(h->sum()) +
-                   ", \"buckets\": [";
-            for (size_t b = 0; b < ObsHistogram::kBuckets; ++b) {
-                if (b)
-                    out += ", ";
-                out += std::to_string(h->bucket(b));
-            }
-            out += "]}";
-            first = false;
-        }
         uint64_t buffered = 0, dropped = 0;
         for (const auto& l : r.lanes) {
             buffered += l->spans.size();
@@ -611,18 +577,6 @@ obsSavePartial(const std::string& path, const std::string& lane_override)
             if (c->value() != 0)
                 record("C " + name + " " + std::to_string(c->value()));
         }
-        for (const auto& [name, h] : r.histograms) {
-            if (h->count() == 0)
-                continue;
-            std::string line = "H " + name + " " +
-                               std::to_string(h->count()) + " " +
-                               std::to_string(h->sum());
-            for (size_t b = 0; b < ObsHistogram::kBuckets; ++b) {
-                line += ' ';
-                line += std::to_string(h->bucket(b));
-            }
-            record(line);
-        }
         uint64_t dropped = 0;
         for (const auto& l : r.lanes) {
             dropped += l->dropped;
@@ -668,7 +622,7 @@ obsMergePartial(const std::string& path)
         size_t start = 0;
         // Spans carry the free-text name last; split only the leading
         // fields and keep the remainder intact.
-        size_t maxFields = line[0] == 'S' ? 5 : (line[0] == 'H' ? 999 : 3);
+        size_t maxFields = line[0] == 'S' ? 5 : 3;
         while (f.size() + 1 < maxFields) {
             size_t sp = line.find(' ', start);
             if (sp == std::string::npos)
@@ -683,20 +637,6 @@ obsMergePartial(const std::string& path)
             if (!parseU64Field(f[2], v))
                 return false;
             staged.push_back([name = f[1], v] { obsCounter(name).merge(v); });
-        } else if (f[0] == "H" &&
-                   f.size() == 4 + ObsHistogram::kBuckets) {
-            // H name count sum b0..b31
-            uint64_t count, sum;
-            std::array<uint64_t, ObsHistogram::kBuckets> buckets;
-            if (!parseU64Field(f[2], count) || !parseU64Field(f[3], sum))
-                return false;
-            for (size_t b = 0; b < ObsHistogram::kBuckets; ++b) {
-                if (!parseU64Field(f[4 + b], buckets[b]))
-                    return false;
-            }
-            staged.push_back([name = f[1], count, sum, buckets] {
-                obsHistogram(name).merge(count, sum, buckets.data());
-            });
         } else if (f[0] == "S" && f.size() == 5) {
             // S lane start dur cat name...
             size_t sp3 = f[4].find(' ');
@@ -746,8 +686,7 @@ obsProgressBegin(const ObsProgressConfig& cfg)
     p.statusPath = cfg.statusPath;
     p.total = cfg.total;
     p.intervalSec = cfg.intervalSec;
-    p.doneLocal = 0;
-    p.doneExternal = 0;
+    p.done = 0;
     p.ops = 0;
     p.beginUs = obsdetail::obsNowUs();
     p.lastReportUs = p.beginUs;
@@ -763,36 +702,15 @@ obsProgressBegin(const ObsProgressConfig& cfg)
 }
 
 void
-obsProgressCellDone(uint64_t ops)
+obsProgressAdd(size_t cells, uint64_t ops)
 {
     if (!progressActive.load(std::memory_order_relaxed))
         return;
     ProgressState& p = progress();
     std::lock_guard<std::mutex> lk(p.mu);
-    ++p.doneLocal;
+    p.done = std::min(p.total, p.done + cells);
     p.ops += ops;
     progressEmitLocked(p, /*final=*/false);
-}
-
-void
-obsProgressUpdate(size_t done)
-{
-    if (!progressActive.load(std::memory_order_relaxed))
-        return;
-    ProgressState& p = progress();
-    std::lock_guard<std::mutex> lk(p.mu);
-    p.doneExternal = std::max(p.doneExternal, done);
-    progressEmitLocked(p, /*final=*/false);
-}
-
-void
-obsProgressNoteOps(uint64_t ops)
-{
-    if (!progressActive.load(std::memory_order_relaxed))
-        return;
-    ProgressState& p = progress();
-    std::lock_guard<std::mutex> lk(p.mu);
-    p.ops += ops;
 }
 
 void
@@ -803,8 +721,6 @@ obsProgressEnd()
     progressActive.store(false, std::memory_order_relaxed);
     ProgressState& p = progress();
     std::lock_guard<std::mutex> lk(p.mu);
-    size_t done = std::max(p.doneLocal, p.doneExternal);
-    p.doneExternal = std::max(done, p.total);
     progressEmitLocked(p, /*final=*/true);
 }
 

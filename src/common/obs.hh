@@ -1,8 +1,8 @@
 /**
  * @file
- * Observability tier: a typed metrics registry (counters and histograms),
- * a per-thread ring-buffer span recorder that emits Chrome trace-event /
- * Perfetto JSON, and live sweep progress with an atomically rewritten
+ * Observability tier: a registry of named counters, a per-thread
+ * ring-buffer span recorder that emits Chrome trace-event / Perfetto
+ * JSON, and live sweep progress with an atomically rewritten
  * status.json. Every file obs writes (status.json, metrics, traces, shard
  * partials) commits through writeFileAtomic (common/faultio.hh), so the
  * atomic.* fault points cover it too.
@@ -69,8 +69,8 @@ void obsArm();
 void obsConfigureOutputs(const std::string& trace_out,
                          const std::string& metrics_out);
 
-/** Disarm and clear every counter, histogram, span, lane, progress state
- *  and output path (test teardown). */
+/** Disarm and clear every counter, span, lane, progress state and output
+ *  path (test teardown). */
 void obsReset();
 
 /** Monotonic counter. Stable address for the process lifetime. */
@@ -95,65 +95,10 @@ class ObsCounter
     std::atomic<uint64_t> v_ { 0 };
 };
 
-/** Power-of-two bucketed histogram (bucket b holds values in
- *  [2^b, 2^(b+1)), bucket 0 holds 0 and 1). */
-class ObsHistogram
-{
-  public:
-    static constexpr size_t kBuckets = 32;
-
-    void
-    record(uint64_t v)
-    {
-        if (!obsArmed())
-            return;
-        size_t b = 0;
-        while (b + 1 < kBuckets && (v >> (b + 1)) != 0)
-            ++b;
-        buckets_[b].fetch_add(1, std::memory_order_relaxed);
-        count_.fetch_add(1, std::memory_order_relaxed);
-        sum_.fetch_add(v, std::memory_order_relaxed);
-    }
-
-    uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-    uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-
-    uint64_t
-    bucket(size_t b) const
-    {
-        return buckets_[b].load(std::memory_order_relaxed);
-    }
-
-    void
-    reset()
-    {
-        for (size_t b = 0; b < kBuckets; ++b)
-            buckets_[b].store(0, std::memory_order_relaxed);
-        count_.store(0, std::memory_order_relaxed);
-        sum_.store(0, std::memory_order_relaxed);
-    }
-
-    /** Ungated bulk add for merging shard partials. */
-    void
-    merge(uint64_t count, uint64_t sum, const uint64_t* buckets)
-    {
-        for (size_t b = 0; b < kBuckets; ++b)
-            buckets_[b].fetch_add(buckets[b], std::memory_order_relaxed);
-        count_.fetch_add(count, std::memory_order_relaxed);
-        sum_.fetch_add(sum, std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<uint64_t> buckets_[kBuckets] {};
-    std::atomic<uint64_t> count_ { 0 };
-    std::atomic<uint64_t> sum_ { 0 };
-};
-
-/** Registry lookups: one mutex-guarded map hit per call, so call sites
+/** Registry lookup: one mutex-guarded map hit per call, so call sites
  *  should cache the reference in a function-local static. Names must be
  *  stable for the process lifetime (string literals). */
 ObsCounter& obsCounter(const std::string& name);
-ObsHistogram& obsHistogram(const std::string& name);
 
 /** RAII span: a complete ("ph":"X") slice on the calling thread's lane
  *  from construction to destruction. Ring overflow drops the span and
@@ -214,8 +159,7 @@ uint64_t obsSpansDropped();
 /** Total spans currently buffered across all lanes. */
 uint64_t obsSpanCount();
 
-/** Write a metrics snapshot: sorted-key JSON of every counter and
- *  histogram, committed through writeFileAtomic (so the atomic.* fault
+/** Write a metrics snapshot: sorted-key JSON of every counter, committed through writeFileAtomic (so the atomic.* fault
  *  points cover it). False on I/O failure. */
 bool obsWriteMetrics(const std::string& path);
 
@@ -224,15 +168,14 @@ bool obsWriteMetrics(const std::string& path);
  *  chrome://tracing. Atomic. False on I/O failure. */
 bool obsWriteTrace(const std::string& path);
 
-/** Serialize this process's spans + counters + histograms to a
- *  line-oriented partial file sealed by a trailing record count; every
+/** Serialize this process's spans + counters to a line-oriented partial file sealed by a trailing record count; every
  *  thread-lane span is relabelled to `lane_override` (fork children:
  *  "shard-<k>"). Committed through writeFileAtomic. */
 bool obsSavePartial(const std::string& path,
                     const std::string& lane_override);
 
 /** Merge a partial written by obsSavePartial into this process: counters
- *  and histograms add, spans append under their recorded lanes. All or
+ *  add, spans append under their recorded lanes. All or
  *  nothing: false, with nothing applied, unless every line parses and the
  *  trailing record count matches (a torn partial is rejected whole). */
 bool obsMergePartial(const std::string& path);
@@ -250,20 +193,13 @@ struct ObsProgressConfig
 };
 
 /** Begin progress tracking; replaces any previous sweep's state. Passive:
- *  starts no threads, so fork children inherit it safely. */
+ *  starts no threads. Only the process that runs the sweep reports. */
 void obsProgressBegin(const ObsProgressConfig& cfg);
 
-/** One cell finished locally; `ops` feeds the rolling Mops/s. */
-void obsProgressCellDone(uint64_t ops);
-
-/** Absolute sweep-wide done-count (shard workers read it from their
- *  shared counter page). Monotonic: lower counts ignored. */
-void obsProgressUpdate(size_t done);
-
-/** Credit ops to the Mops/s accounting without advancing the done count
- *  (a shard worker crediting its siblings' cells, a coordinator crediting
- *  the cells its workers and its merge simulated). */
-void obsProgressNoteOps(uint64_t ops);
+/** `cells` more cells are done (never past the total) and `ops`
+ *  simulated instructions feed the rolling Mops/s; prints the stderr line
+ *  and rewrites status.json when their intervals have elapsed. */
+void obsProgressAdd(size_t cells, uint64_t ops);
 
 /** Final update: marks state "done" in status.json and prints a closing
  *  report line if reporting is enabled. */

@@ -17,28 +17,15 @@ thread_local bool tlsInJob = false;
 
 } // namespace
 
-unsigned
-batchThreads(const BatchOptions& opts)
-{
-    if (opts.threads != 0)
-        return opts.threads;
-    return std::clamp(std::thread::hardware_concurrency(), 1u, 16u);
-}
-
 void
-forEachJob(size_t n, const std::function<void(size_t, Rng&)>& fn,
-           const BatchOptions& opts)
+forEachJob(size_t n, const std::function<void(size_t)>& fn, unsigned threads)
 {
-    auto runJob = [&](size_t job) {
-        // Seeded from (master seed, job) only: independent of the executing
-        // thread, so any schedule reproduces the same streams.
-        Rng rng(Rng::splitmix(opts.seed) ^ Rng::splitmix(job + 1));
-        fn(job, rng);
-    };
-    const size_t threads = std::min<size_t>(batchThreads(opts), n);
-    if (threads <= 1 || tlsInJob) {
+    if (threads == 0)
+        threads = std::clamp(std::thread::hardware_concurrency(), 1u, 16u);
+    const size_t workers = std::min<size_t>(threads, n);
+    if (workers <= 1 || tlsInJob) {
         for (size_t i = 0; i < n; ++i)
-            runJob(i);
+            fn(i);
         return;
     }
 
@@ -48,15 +35,15 @@ forEachJob(size_t n, const std::function<void(size_t, Rng&)>& fn,
     auto drain = [&] {
         tlsInJob = true;
         for (size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;)
-            runJob(i);
+            fn(i);
         tlsInJob = false;
     };
     // Declared after everything the workers use, so on every exit path
     // (a later worker failing to start included) they are joined first.
-    std::vector<std::jthread> workers;
-    workers.reserve(threads - 1);
-    for (size_t k = 1; k < threads; ++k) {
-        workers.emplace_back([&, k] {
+    std::vector<std::jthread> pool;
+    pool.reserve(workers - 1);
+    for (size_t k = 1; k < workers; ++k) {
+        pool.emplace_back([&, k] {
             // One trace lane per worker index, however many calls run.
             if (obsArmed())
                 obsSetThreadLane("pool-" + std::to_string(k));

@@ -1,15 +1,12 @@
 /**
  * @file
- * Batch execution: forEachJob() with per-job RNG streams, and the
- * {row x config} MatrixResult grid that Experiment (sim/experiment.hh)
- * fills. forEachJob starts its worker threads per call and joins them
- * before it returns; the workers and the caller take job indices from one
- * shared counter. Results are written into pre-allocated row-major slots,
- * so the figures a bench prints are bit-identical whether the matrix ran
- * on one thread or sixteen, and independent of job completion order. Each
- * job also receives a private RNG stream derived from (master seed, job
- * index) via splitmix64 so randomized sweeps stay reproducible under any
- * schedule.
+ * Batch execution: forEachJob(), and the {row x config} MatrixResult grid
+ * that Experiment (sim/experiment.hh) fills. forEachJob starts its worker
+ * threads per call and joins them before it returns; the workers and the
+ * caller take job indices from one shared counter. Results are written
+ * into pre-allocated row-major slots, so the figures a bench prints are
+ * bit-identical whether the matrix ran on one thread or sixteen, and
+ * independent of job completion order.
  */
 
 #ifndef CONSTABLE_SIM_BATCH_HH
@@ -18,39 +15,24 @@
 #include <functional>
 #include <vector>
 
-#include "common/rng.hh"
 #include "sim/runner.hh"
 
 namespace constable {
 
-/** Knobs shared by every batch entry point. */
-struct BatchOptions
-{
-    /** Cap on explicit thread counts (a mistyped CONSTABLE_THREADS must
-     *  not try to spawn 100000 OS threads; larger values are fatal). */
-    static constexpr unsigned kMaxThreads = 256;
-
-    /** Total threads, the caller included; 0 = the hardware thread count
-     *  clamped to [1, 16], 1 = serial. */
-    unsigned threads = 0;
-    /** Master seed for the per-job RNG streams. */
-    uint64_t seed = 0x5eed5eedull;
-};
-
-/** The thread count a batch with @p opts resolves to (see threads). */
-unsigned batchThreads(const BatchOptions& opts);
+/** Cap on explicit thread counts (a mistyped CONSTABLE_THREADS must not
+ *  try to spawn 100000 OS threads; larger values are fatal). */
+inline constexpr unsigned kMaxThreads = 256;
 
 /**
- * Run fn(job, rng) for job in [0, n), blocking until every job completed.
- * Runs serially for one thread, n <= 1, or a call from a parallel call's job;
- * otherwise min(threads, n) - 1 workers are started, and none outlives the
- * call. The rng argument is seeded from (opts.seed, job) only, never from
- * the executing thread, so results are reproducible for any thread count.
- * Jobs report errors through fatal(): an exception escaping a job on a
- * worker thread ends the program.
+ * Run fn(job) for job in [0, n), blocking until every job completed.
+ * `threads` counts the caller too; 0 = the hardware thread count clamped
+ * to [1, 16]. Runs serially for one thread, n <= 1, or a call from a
+ * parallel call's job; otherwise min(threads, n) - 1 workers are started,
+ * and none outlives the call. Jobs report errors through fatal(): an
+ * exception escaping a job on a worker thread ends the program.
  */
-void forEachJob(size_t n, const std::function<void(size_t, Rng&)>& fn,
-                const BatchOptions& opts = {});
+void forEachJob(size_t n, const std::function<void(size_t)>& fn,
+                unsigned threads = 0);
 
 /** Dense row-major result grid of a {row x config} experiment matrix. */
 struct MatrixResult

@@ -44,20 +44,6 @@ makeDirs(const std::string& dir, const char* what)
               "' cannot be created: " + ec.message());
 }
 
-/** Fresh private scratch directory under the system temp dir. */
-std::string
-makeTempDir(const char* prefix)
-{
-    std::string tmpl = (std::filesystem::temp_directory_path() /
-                        (std::string(prefix) + "-XXXXXX"))
-                           .string();
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    if (!mkdtemp(buf.data()))
-        fatal("cannot create scratch directory from template " + tmpl);
-    return buf.data();
-}
-
 [[noreturn]] void
 printUsage(const char* prog, int exit_code)
 {
@@ -66,7 +52,8 @@ printUsage(const char* prog, int exit_code)
         "usage: %s [options]\n"
         "  --threads=N         batch threads, at most 256 (0 = all cores "
         "up to 16,\n                      1 = serial)\n"
-        "  --seed=N            master seed for per-job RNG streams\n"
+        "  --seed=N            sampled-window selection seed (part of "
+        "the sampled\n                      checkpoint key)\n"
         "  --trace-ops=N       dynamic micro-ops per generated trace\n"
         "  --suite-limit=N     truncate the suite to its first N traces\n"
         "  --trace-dir=PATH    on-disk trace cache (generate once, then "
@@ -92,9 +79,9 @@ printUsage(const char* prog, int exit_code)
         "CONSTABLE_TRACE_OPS,\nCONSTABLE_SUITE_LIMIT, CONSTABLE_TRACE_DIR, "
         "CONSTABLE_CHECKPOINT_DIR,\nCONSTABLE_SHARDS, "
         "CONSTABLE_SAMPLE, CONSTABLE_FAULT_PLAN,\n"
-        "CONSTABLE_FAULT_MARKER_DIR, CONSTABLE_FAULT_SEED, "
-        "CONSTABLE_TRACE_OUT,\nCONSTABLE_METRICS_OUT, "
-        "CONSTABLE_PROGRESS_SEC, CONSTABLE_LOG_LEVEL\n"
+        "CONSTABLE_FAULT_MARKER_DIR, CONSTABLE_TRACE_OUT,\n"
+        "CONSTABLE_METRICS_OUT, CONSTABLE_PROGRESS_SEC, "
+        "CONSTABLE_LOG_LEVEL\n"
         "(strict-parsed; CLI flags override env).\n",
         prog);
     std::exit(exit_code);
@@ -132,8 +119,7 @@ ExperimentOptions
 ExperimentOptions::fromEnv()
 {
     ExperimentOptions opts;
-    if (auto v = envU64InRange("CONSTABLE_THREADS", 0,
-                               BatchOptions::kMaxThreads))
+    if (auto v = envU64InRange("CONSTABLE_THREADS", 0, kMaxThreads))
         opts.threads = static_cast<unsigned>(*v);
     if (auto v = envU64("CONSTABLE_SEED"))
         opts.seed = *v;
@@ -147,8 +133,7 @@ ExperimentOptions::fromEnv()
         opts.traceDir = *v;
     if (auto v = envStr("CONSTABLE_CHECKPOINT_DIR"))
         opts.checkpointDir = *v;
-    if (auto v = envU64InRange("CONSTABLE_SHARDS", 1,
-                               ShardOptions::kMaxShards))
+    if (auto v = envU64InRange("CONSTABLE_SHARDS", 1, kMaxShards))
         opts.shards = static_cast<unsigned>(*v);
     if (auto v = envStr("CONSTABLE_SAMPLE"))
         opts.sample = SampleOptions::parse(*v);
@@ -190,8 +175,8 @@ ExperimentOptions::fromArgs(int argc, char** argv)
         if (flag == "--help" || flag == "-h") {
             printUsage(prog, 0);
         } else if (flag == "--threads") {
-            opts.threads = static_cast<unsigned>(parseU64InRange(
-                flag, val(), 0, BatchOptions::kMaxThreads));
+            opts.threads = static_cast<unsigned>(
+                parseU64InRange(flag, val(), 0, kMaxThreads));
         } else if (flag == "--seed") {
             opts.seed = parseU64Strict(flag, val());
         } else if (flag == "--trace-ops") {
@@ -210,7 +195,7 @@ ExperimentOptions::fromArgs(int argc, char** argv)
             opts.checkpointDir = val();
         } else if (flag == "--shards") {
             opts.shards = static_cast<unsigned>(
-                parseU64InRange(flag, val(), 1, ShardOptions::kMaxShards));
+                parseU64InRange(flag, val(), 1, kMaxShards));
         } else if (flag == "--sample") {
             opts.sample = SampleOptions::parse(val());
         } else if (flag == "--fault-plan") {
@@ -231,30 +216,6 @@ ExperimentOptions::fromArgs(int argc, char** argv)
     }
     obsConfigureOutputs(opts.traceOutPath, opts.metricsOutPath);
     return opts;
-}
-
-BatchOptions
-ExperimentOptions::batch() const
-{
-    BatchOptions b;
-    b.threads = threads;
-    b.seed = seed;
-    return b;
-}
-
-ShardOptions
-ExperimentOptions::shard() const
-{
-    // The shard cap is rechecked here for callers that set `shards`
-    // directly rather than through a flag.
-    if (shards > ShardOptions::kMaxShards) {
-        fatal("--shards=" + std::to_string(shards) + " out of range: at "
-              "most " + std::to_string(ShardOptions::kMaxShards) +
-              " workers");
-    }
-    ShardOptions s;
-    s.shards = shards;
-    return s;
 }
 
 // ---------------------------------------------------------------- Suite
@@ -284,7 +245,7 @@ Suite::fromSpecs(std::vector<WorkloadSpec> specs,
     // Each job owns its own slot; totals are summed after the barrier.
     std::vector<uint8_t> corruptEntry(specs.size(), 0);
     std::vector<uint8_t> rewriteFailed(specs.size(), 0);
-    forEachJob(specs.size(), [&](size_t i, Rng&) {
+    forEachJob(specs.size(), [&](size_t i) {
         ObsSpan span("trace.prep", "trace");
         Entry& e = s.entries_[i];
         e.spec = std::move(specs[i]);
@@ -311,7 +272,7 @@ Suite::fromSpecs(std::vector<WorkloadSpec> specs,
             e.inspection = inspectLoads(e.trace);
             e.gs = e.inspection.globalStablePcs();
         }
-    }, opts.batch());
+    }, opts.threads);
     for (const Entry& e : s.entries_)
         (e.fromCache ? s.cacheHits_ : s.cacheMisses_)++;
     {
@@ -344,7 +305,7 @@ Suite::fromTraces(std::vector<Trace> traces, bool inspect)
     Suite s;
     s.inspected_ = inspect;
     s.entries_.resize(traces.size());
-    forEachJob(traces.size(), [&](size_t i, Rng&) {
+    forEachJob(traces.size(), [&](size_t i) {
         Entry& e = s.entries_[i];
         e.trace = std::move(traces[i]);
         e.spec.name = e.trace.name;
@@ -357,7 +318,7 @@ Suite::fromTraces(std::vector<Trace> traces, bool inspect)
             e.inspection = inspectLoads(e.trace);
             e.gs = e.inspection.globalStablePcs();
         }
-    }, BatchOptions{});
+    });
     return s;
 }
 
@@ -590,8 +551,8 @@ Experiment::runSmt()
 }
 
 std::string
-Experiment::checkpointDirFor(const std::string& root, bool smt,
-                             SweepManifest& manifest, size_t rows) const
+Experiment::checkpointDirFor(bool smt, SweepManifest& manifest,
+                             size_t rows) const
 {
     // Checkpoints key on the sweep's identity: the experiment name, the
     // suite's content, and the ordered config names. Seed/threads are
@@ -613,7 +574,10 @@ Experiment::checkpointDirFor(const std::string& root, bool smt,
     manifest.numRows = rows;
     manifest.numConfigs = factories_.size();
     manifest.configNames = names_;
-    return root + "/" + sanitizeFileName(name_) + "-" + hex16(key);
+    if (opts_.checkpointDir.empty())
+        return "";
+    return opts_.checkpointDir + "/" + sanitizeFileName(name_) + "-" +
+           hex16(key);
 }
 
 ExperimentResult
@@ -630,15 +594,14 @@ Experiment::runCells(size_t rows, bool smt)
     MatrixResult m;
     m.numRows = rows;
     m.numConfigs = factories_.size();
-    m.results.resize(m.numRows * m.numConfigs);
 
     auto traces = suite_->tracePtrs();
     auto gs = suite_->gsPtrs();
     auto pairs = smt ? suite_->smtTracePairs()
                      : std::vector<std::pair<const Trace*, const Trace*>>{};
 
-    // One cell = one deterministic simulation; shared by the in-process
-    // batch path, forked shard workers, and the merge recovery fallback.
+    // One cell = one deterministic simulation, whichever executor of the
+    // sweep runner (sim/shard.hh) computes it.
     auto computeCell = [&](size_t job) -> RunResult {
         size_t row = job / m.numConfigs;
         size_t cfgIdx = job % m.numConfigs;
@@ -658,100 +621,14 @@ Experiment::runCells(size_t rows, bool smt)
         return runTrace(*traces[row], cfg, g);
     };
 
-    ShardOptions shardOpts = opts_.shard();
-    std::string ckptRoot = opts_.checkpointDir;
-    std::string tempRoot;
-    if (shardOpts.active() && ckptRoot.empty()) {
-        // Fork coordinator without a checkpoint dir: cells still travel
-        // between processes as files, so use a private scratch directory
-        // and discard it once the matrix is merged.
-        tempRoot = makeTempDir("constable-shards");
-        ckptRoot = tempRoot;
-    }
-
-    std::string ckptDir;
     SweepManifest manifest;
-    size_t resumed = 0;
-    if (!ckptRoot.empty()) {
-        ckptDir = checkpointDirFor(ckptRoot, smt, manifest, rows);
+    std::string ckptDir = checkpointDirFor(smt, manifest, rows);
+    if (!ckptDir.empty())
         makeDirs(ckptDir, "checkpoint");
-    }
-
-    // Live progress: stderr one-liners plus a status.json next to the
-    // cell checkpoints (constable-sweep --status pretty-prints it from
-    // another process). Passive state only, so forked shard workers
-    // inherit it and keep reporting.
-    ObsProgressConfig pcfg;
-    pcfg.label = name_;
-    pcfg.total = m.results.size();
-    pcfg.statusPath = ckptDir.empty() ? "" : ckptDir + "/status.json";
-    pcfg.intervalSec = opts_.progressSec;
-    obsProgressBegin(pcfg);
-
-    if (shardOpts.active()) {
-        // runShardedCells credits the ops of the cells it simulates, so
-        // the closing report's Mops/s leaves resumed cells out.
-        ShardOutcome oc =
-            runShardedCells(ckptDir, manifest, computeCell, m.results,
-                            shardOpts);
-        obsProgressEnd();
-        // The final merge loads every cell, so oc.loaded always spans the
-        // matrix; only cells that predated this run count as resumed.
-        resumed = oc.preExisting;
-        if (!tempRoot.empty()) {
-            std::error_code ec;
-            std::filesystem::remove_all(tempRoot, ec);
-        }
-        return ExperimentResult(*suite_, names_, std::move(m), resumed);
-    }
-
-    std::vector<uint8_t> done(m.results.size(), 0);
-    if (!ckptDir.empty()) {
-        writeOrVerifyManifest(ckptDir, manifest);
-        // A cell file that exists but fails to load — truncated, corrupt,
-        // or empty (0 bytes: a writer died before its first byte) — is
-        // regenerated exactly like a missing one, just counted and
-        // reported so operators notice a sick disk.
-        size_t corruptResume = 0;
-        for (size_t cell = 0; cell < m.results.size(); ++cell) {
-            std::string path = cellFilePath(ckptDir, manifest, cell);
-            if (loadRunResult(path, m.results[cell])) {
-                done[cell] = 1;
-                ++resumed;
-                continue;
-            }
-            std::error_code xec;
-            if (std::filesystem::exists(path, xec) && !xec)
-                ++corruptResume;
-        }
-        if (corruptResume > 0) {
-            warn(std::to_string(corruptResume) +
-                 " checkpoint cell(s) present but unloadable (corrupt or "
-                 "empty); regenerating them");
-        }
-    }
-    obsProgressUpdate(resumed);
-
-    forEachJob(m.results.size(), [&](size_t job, Rng&) {
-        if (done[job])
-            return;
-        {
-            ObsSpan span("cell.compute", "cell");
-            m.results[job] = computeCell(job);
-        }
-        if (!ckptDir.empty()) {
-            ObsSpan span("cell.checkpoint", "cell");
-            if (!saveRunResult(cellFilePath(ckptDir, manifest, job),
-                               m.results[job])) {
-                warn("cannot write checkpoint cell " + std::to_string(job) +
-                     "; the sweep continues but will not resume past it");
-            }
-        }
-        obsProgressCellDone(m.results[job].instructions);
-    }, opts_.batch());
-    obsProgressEnd();
-
-    return ExperimentResult(*suite_, names_, std::move(m), resumed);
+    ShardOutcome oc = runSweep(ckptDir, manifest, computeCell, m.results,
+                               opts_.threads, opts_.shards,
+                               opts_.progressSec);
+    return ExperimentResult(*suite_, names_, std::move(m), oc.resumed);
 }
 
 ExperimentResult
@@ -764,8 +641,7 @@ Experiment::merge(bool smt)
 
     size_t rows = smt ? suite_->smtTracePairs().size() : suite_->size();
     SweepManifest manifest;
-    std::string ckptDir =
-        checkpointDirFor(opts_.checkpointDir, smt, manifest, rows);
+    std::string ckptDir = checkpointDirFor(smt, manifest, rows);
 
     SweepManifest onDisk;
     if (!loadManifest(ckptDir + "/manifest.sweep", onDisk))
@@ -778,16 +654,16 @@ Experiment::merge(bool smt)
     MatrixResult m;
     m.numRows = rows;
     m.numConfigs = factories_.size();
-    ShardOutcome oc;
-    if (!mergeShardedCells(ckptDir, manifest, /*compute=*/nullptr,
-                           m.results, oc)) {
+    ShardOutcome oc = runSweep(ckptDir, manifest, /*compute=*/{}, m.results,
+                               opts_.threads, /*shards=*/1);
+    if (oc.resumed < manifest.numCells()) {
         fatal("merge: sweep '" + name_ + "' is incomplete (" +
-              std::to_string(oc.loaded) + " of " +
+              std::to_string(oc.resumed) + " of " +
               std::to_string(manifest.numCells()) +
               " cells present); let the workers finish or re-run with "
               "run()");
     }
-    return ExperimentResult(*suite_, names_, std::move(m), oc.loaded);
+    return ExperimentResult(*suite_, names_, std::move(m), oc.resumed);
 }
 
 } // namespace constable

@@ -14,8 +14,8 @@
  *    keyed by a hash of the full spec.
  *
  *  - Experiment: a {suite x *named* configuration} sweep whose cells run
- *    through forEachJob() in process or through the shard tier
- *    (sim/shard.hh), with optional per-cell RunResult checkpointing (an
+ *    through the sweep runner (sim/shard.hh) on forEachJob threads or
+ *    forked workers, with optional per-cell RunResult checkpointing (an
  *    interrupted sweep resumes from completed cells, bit-identical to an
  *    uninterrupted run), and the paper's category geomean / mean /
  *    box-whisker reporters as methods on the result.
@@ -43,10 +43,11 @@ namespace constable {
 /** Unified knobs for suite preparation and sweep execution. */
 struct ExperimentOptions
 {
-    /** Batch threads, at most BatchOptions::kMaxThreads; 0 = the hardware
-     *  thread count up to 16, 1 = serial replay. */
+    /** Batch threads, at most kMaxThreads; 0 = the hardware thread count
+     *  up to 16, 1 = serial replay. */
     unsigned threads = 0;
-    /** Master seed for per-job RNG streams (randomized sweeps). */
+    /** Seed of sampled-window selection; part of the checkpoint key of
+     *  sampled sweeps. */
     uint64_t seed = 0x5eed5eedull;
     /** Dynamic micro-ops per generated trace. */
     size_t traceOps = 60'000;
@@ -57,7 +58,7 @@ struct ExperimentOptions
     /** Per-cell checkpoint directory; empty disables checkpointing. */
     std::string checkpointDir;
     /** Process-level sharding: > 1 forks that many cooperating worker
-     *  processes per sweep (see sim/shard.hh). */
+     *  processes per sweep (see sim/shard.hh), at most kMaxShards. */
     unsigned shards = 1;
     /** Chrome trace-event JSON written at exit (--trace-out /
      *  CONSTABLE_TRACE_OUT); non-empty arms the obs registry. */
@@ -87,13 +88,6 @@ struct ExperimentOptions
      * unknown arguments fatal().
      */
     static ExperimentOptions fromArgs(int argc, char** argv);
-
-    /** The thread/seed subset consumed by the batch runner. */
-    BatchOptions batch() const;
-
-    /** The process-parallelism subset consumed by sim/shard.hh; fatal()
-     *  on a shard count above ShardOptions::kMaxShards. */
-    ShardOptions shard() const;
 };
 
 /** Width of a geomean table's name column: 14, or one more than the
@@ -248,9 +242,10 @@ class ExperimentResult
 
 /**
  * A named {suite x configurations} sweep. Configurations are added under
- * unique names; run() executes the full matrix through forEachJob, and when
- * opts.checkpointDir is set every finished cell is persisted so a killed
- * sweep resumes from completed cells on the next invocation.
+ * unique names; run() executes the full matrix through the sweep runner
+ * (sim/shard.hh), and when opts.checkpointDir is set every finished cell
+ * is persisted so a killed sweep resumes from completed cells on the next
+ * invocation.
  *
  * Checkpoints are keyed by (experiment name, suite content, config names):
  * changing a configuration's *parameters* without renaming it requires
@@ -298,9 +293,10 @@ class Experiment
     ExperimentResult merge(bool smt = false);
 
   private:
-    /** Keyed per-sweep checkpoint subdirectory + its manifest. */
-    std::string checkpointDirFor(const std::string& root, bool smt,
-                                 SweepManifest& manifest, size_t rows) const;
+    /** Fill the sweep's manifest; returns its keyed checkpoint
+     *  subdirectory, or "" without opts.checkpointDir. */
+    std::string checkpointDirFor(bool smt, SweepManifest& manifest,
+                                 size_t rows) const;
 
     ExperimentResult runCells(size_t rows, bool smt);
 

@@ -1,24 +1,31 @@
 /**
  * @file
- * Sharded multi-process sweep execution: a process tier above forEachJob's
- * threads. A sweep's {row x config} cells are deterministic functions
- * of their index and its checkpoint files are mergeable, so forked worker
- * processes sharing one checkpoint directory can split a matrix:
+ * The sweep runner: everything a sweep does with its {row x config} cells
+ * (resume, deal order, compute, commit, recovery at merge and progress)
+ * in one place. Cells are deterministic functions of their index and
+ * their checkpoint files are mergeable, so the runner's only branch is
+ * the executor that computes the cells it deals:
  *
- *  - The coordinator writes the sweep manifest and lists the cells that
- *    have no committed file: most expensive config first once `.cost`
- *    sidecars exist, index order otherwise. It maps one shared page of
- *    atomic counters and forks the workers.
+ *  - Resume: every cell with a committed file in the checkpoint directory
+ *    is loaded. Missing and unloadable cells go on the deal list: most
+ *    expensive config first once `.cost` sidecars exist, index order
+ *    otherwise.
  *
- *  - Each worker takes the next list index from the shared counter,
- *    computes that cell, commits it with an fsync'd atomic rename plus a
- *    `.cost` sidecar of its compute seconds, and stops when the list runs
- *    out. A worker that dies loses only the cell it was computing.
+ *  - Threads (shards <= 1): forEachJob computes the dealt cells in this
+ *    process and commits each with one atomic write. A cell that cannot
+ *    be committed keeps its in-memory result.
  *
- *  - Once the workers are reaped, the coordinator merges the checkpoint
- *    files. Missing or checksum-failing cells are recomputed locally, so
- *    the merged matrix is always complete and bit-identical to a
- *    single-process run.
+ *  - Forked workers (shards > 1): each worker takes the next deal-list
+ *    index from a counter on one shared page, computes that cell, commits
+ *    it with an fsync'd atomic rename plus a `.cost` sidecar of its
+ *    compute seconds, and reports {cell, ops} to the coordinator over a
+ *    pipe. A worker that dies loses only the cell it was computing. Once
+ *    the workers are reaped, the coordinator loads the dealt cells and
+ *    recomputes any that are missing or fail their checksum, so the
+ *    matrix is always complete and bit-identical to a threaded run.
+ *
+ *  - Progress: only the process that runs the sweep prints progress lines
+ *    and writes status.json.
  *
  *  - A manifest record written once into the directory pins the sweep's
  *    identity (experiment, suite hash, grid shape, config names); a
@@ -37,37 +44,26 @@
 
 namespace constable {
 
-/** Process-level parallelism knobs (ExperimentOptions::shard()). */
-struct ShardOptions
-{
-    /** Safety cap on the worker count a coordinator will fork. */
-    static constexpr unsigned kMaxShards = 256;
+/** Safety cap on the worker count a sweep will fork. */
+inline constexpr unsigned kMaxShards = 256;
 
-    /** Worker processes to fork; each computes its cells serially. */
-    unsigned shards = 1;
-
-    bool active() const { return shards > 1; }
-};
-
-/** What a sharded execution did (stats for logs/benches/tests). */
+/** What a sweep did (stats for logs/benches/tests). */
 struct ShardOutcome
 {
-    /** Cells simulated in this run: committed by the workers plus
-     *  recomputed at merge. */
+    /** Simulations made in this run: dealt cells computed by the threads
+     *  or the workers, plus cells recomputed at merge. */
     size_t computed = 0;
-    size_t loaded = 0;        ///< cells merged from checkpoint files
-    /** Cells whose checkpoint file already existed when this execution
-     *  started — i.e. genuinely resumed work, as opposed to `loaded`,
-     *  which counts the final merge and so always spans the matrix. */
-    size_t preExisting = 0;
-    size_t staleTmpRemoved = 0; ///< orphaned tmp files cleaned at merge
+    /** Cells loaded from the checkpoint directory instead of computed. */
+    size_t resumed = 0;
+    size_t staleTmpRemoved = 0; ///< orphaned tmp files swept
     size_t workersForked = 0;
     size_t workersFailed = 0; ///< forked workers that exited abnormally
-    /** Cells whose checkpoint file existed at merge but failed its
-     *  checksum (torn write / mangled file); each is regenerated. */
+    /** Cells whose checkpoint file existed but failed to load (torn write,
+     *  mangled file); each is recomputed. */
     size_t corruptCells = 0;
-    /** Cells whose regenerated checkpoint kept failing verification and
-     *  were moved into <dir>/quarantine/ (in-memory result still used). */
+    /** Cells whose recomputed checkpoint kept failing verification at
+     *  merge and were moved into <dir>/quarantine/ (in-memory result
+     *  still used). */
     size_t quarantined = 0;
 };
 
@@ -75,8 +71,7 @@ struct ShardOutcome
  *  (same index -> bit-identical RunResult in every process). */
 using CellFn = std::function<RunResult(size_t cell)>;
 
-/** Checkpoint file of one cell: <dir>/cell-<row>-<cfg>.rr (the same layout
- *  single-process checkpoint/resume uses, so the two tiers interoperate). */
+/** Checkpoint file of one cell: <dir>/cell-<row>-<cfg>.rr. */
 std::string cellFilePath(const std::string& dir, const SweepManifest& m,
                          size_t cell);
 
@@ -89,26 +84,25 @@ std::string cellFilePath(const std::string& dir, const SweepManifest& m,
 void writeOrVerifyManifest(const std::string& dir, const SweepManifest& m);
 
 /**
- * Execute all cells of `m` on opts.shards forked workers and fill `out`
- * (resized to m.numCells()) with the complete merged matrix. Cells that
- * already have a committed file are resumed, not recomputed. `dir` must
- * exist.
+ * Run the sweep `m` and fill `out` (resized to m.numCells()).
+ *
+ * `dir` is the sweep's existing checkpoint directory, or empty for none;
+ * a forked sweep without one uses a private scratch directory it removes
+ * afterwards. Cells are computed by `threads` forEachJob threads (0 = the
+ * hardware count), or, with `shards` > 1, by that many forked workers;
+ * fatal() above kMaxShards. Progress lines go to stderr at most every
+ * `progress_sec` seconds (0 = none) and status.json is rewritten in
+ * `dir`.
+ *
+ * With an empty `compute` the runner only resumes: the caller gets every
+ * loadable cell, and `resumed` short of m.numCells() means the directory
+ * is incomplete (the rest are default RunResults). Orphaned *.tmp.* files
+ * older than 120 s are swept either way.
  */
-ShardOutcome runShardedCells(const std::string& dir, const SweepManifest& m,
-                             const CellFn& compute,
-                             std::vector<RunResult>& out,
-                             const ShardOptions& opts);
-
-/**
- * Merge-only entry: load every cell of `m` from `dir` into `out`.
- * Missing or corrupt cells are recomputed via `compute` when provided,
- * otherwise reported by returning false (out is left partially filled;
- * absent cells are default RunResults). Also sweeps orphaned *.tmp.*
- * files older than 120 s.
- */
-bool mergeShardedCells(const std::string& dir, const SweepManifest& m,
-                       const CellFn* compute, std::vector<RunResult>& out,
-                       ShardOutcome& outcome);
+ShardOutcome runSweep(const std::string& dir, const SweepManifest& m,
+                      const CellFn& compute, std::vector<RunResult>& out,
+                      unsigned threads, unsigned shards,
+                      unsigned progress_sec = 0);
 
 } // namespace constable
 

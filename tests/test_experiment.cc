@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/env.hh"
+#include "common/faultio.hh"
 #include "sim/experiment.hh"
 #include "sim/scenario.hh"
 #include "trace/serialize.hh"
@@ -337,7 +338,7 @@ TEST_F(Checkpoint, ResumeFromPartialCheckpointIsBitIdentical)
 
 /**
  * The 0-byte-cell regression: a checkpoint cell truncated to nothing (a
- * crash between open and first write, or an enospc-starved writer) and one
+ * crash between open and first write, or a writer out of disk) and one
  * holding garbage must both be treated as corrupt — regenerated with a
  * counted warning, never trusted, never fatal — and the resumed sweep must
  * stay bit-identical to an uninterrupted run.
@@ -377,6 +378,31 @@ TEST_F(Checkpoint, ZeroByteAndGarbageCellsAreRegeneratedNotTrusted)
     EXPECT_EQ(warm.resumedCells(), 4u);
     EXPECT_EQ(resultFingerprint(warm.matrix()),
               resultFingerprint(ref.matrix()));
+}
+
+/** A transient commit failure is retried: a checkpointed sweep whose first
+ *  cell commit fails once still leaves every cell file, on threads and on
+ *  forked workers. */
+TEST_F(Checkpoint, TransientCommitFailureLeavesEveryCellFile)
+{
+    ExperimentOptions opts = serialOpts();
+    Suite suite = Suite::fromSpecs(twoSpecs(), opts);
+    for (unsigned shards : { 1u, 2u }) {
+        ExperimentOptions ck = opts;
+        ck.shards = shards;
+        ck.checkpointDir = dir + "/shards-" + std::to_string(shards);
+        installFaultPlan("ckpt.cell.commit:eio@1");
+        Experiment("commit-eio", suite, ck)
+            .add("baseline", mechFor("baseline"))
+            .add("constable", mechFor("constable"))
+            .run();
+        clearFaultPlan();
+        size_t cells = 0;
+        for (const auto& e :
+             fs::recursive_directory_iterator(ck.checkpointDir))
+            cells += e.path().extension() == ".rr";
+        EXPECT_EQ(cells, 4u) << shards << " shard(s)";
+    }
 }
 
 TEST_F(Checkpoint, SmtSweepCheckpointsSeparatelyFromNoSmt)

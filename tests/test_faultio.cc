@@ -1,16 +1,15 @@
 /**
  * @file
  * Tests for the deterministic fault-injection shim (common/faultio.hh):
- * plan grammar + fatal diagnostics, fail-N eio/enospc semantics, torn-write
- * arming and its writeFileAtomic integration, crash-once markers, seeded
- * backoff determinism, the retry absorber, and thread-safety
+ * plan grammar + fatal diagnostics, fail-N eio semantics, torn-write
+ * arming and its writeFileAtomic integration, crash-once markers, the
+ * fixed retry schedule and the retry absorber, and thread-safety
  * of the armed counters (this file is part of the TSan CI subset — keep
  * "Fault" in every test suite name).
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <set>
@@ -104,6 +103,13 @@ TEST(FaultPlanDeathTest, SkewActionIsRejected)
                 ::testing::ExitedWithCode(1), "unknown action 'skew'");
 }
 
+/** A transient failure has one action, eio. */
+TEST(FaultPlanDeathTest, EnospcActionIsRejected)
+{
+    EXPECT_EXIT(installFaultPlan("ckpt.cell.commit:enospc"),
+                ::testing::ExitedWithCode(1), "unknown action 'enospc'");
+}
+
 TEST(FaultPlanDeathTest, MalformedClauseIsFatal)
 {
     EXPECT_EXIT(installFaultPlan("ckpt.cell.read"),
@@ -116,7 +122,7 @@ TEST(FaultPlanDeathTest, MalformedClauseIsFatal)
 
 TEST_F(FaultIoTest, ClausesSplitOnSemicolonAndComma)
 {
-    installFaultPlan("ckpt.cell.read:eio;sweep.manifest.read:enospc@2,"
+    installFaultPlan("ckpt.cell.read:eio;sweep.manifest.read:eio@2,"
                      "trace.cache.write:torn");
     EXPECT_TRUE(faultPlanArmed());
     auto armed = faultArmedHits();
@@ -148,7 +154,7 @@ TEST_F(FaultIoTest, EioFailsFirstNThenHeals)
 
 TEST_F(FaultIoTest, DefaultCountIsOneAndClearDisarms)
 {
-    installFaultPlan("sweep.manifest.write:enospc");
+    installFaultPlan("sweep.manifest.write:eio");
     EXPECT_TRUE(faultFailed("sweep.manifest.write"));
     EXPECT_FALSE(faultFailed("sweep.manifest.write"));
     clearFaultPlan();
@@ -235,56 +241,6 @@ TEST_F(FaultIoTest, CrashMarkerMakesTheCrashOneShot)
     EXPECT_FALSE(faultFailed("ckpt.cell.commit"));
 }
 
-// ----------------------------------------------------- deterministic backoff
-
-TEST(FaultBackoff, SameInputsSameDelayAcrossCalls)
-{
-    BackoffPolicy p;
-    for (unsigned attempt = 0; attempt < 4; ++attempt) {
-        unsigned a = backoffDelayMs("sweep.manifest.read", attempt, p);
-        unsigned b = backoffDelayMs("sweep.manifest.read", attempt, p);
-        EXPECT_EQ(a, b) << "attempt " << attempt;
-    }
-}
-
-TEST(FaultBackoff, DelaysGrowExponentiallyWithinJitterBounds)
-{
-    BackoffPolicy p;
-    p.baseMs = 8;
-    p.mult = 2.0;
-    p.jitterFrac = 0.5;
-    p.capMs = 10000;
-    for (unsigned attempt = 0; attempt < 5; ++attempt) {
-        double nominal = p.baseMs * std::pow(p.mult, attempt);
-        unsigned d = backoffDelayMs("ckpt.cell.commit", attempt, p);
-        EXPECT_GE(d + 1.0, nominal) << "attempt " << attempt; // +1: rounding
-        EXPECT_LE(d, nominal * (1.0 + p.jitterFrac) + 1.0)
-            << "attempt " << attempt;
-    }
-}
-
-TEST(FaultBackoff, CapBoundsEveryDelay)
-{
-    BackoffPolicy p;
-    p.baseMs = 100;
-    p.mult = 10.0;
-    p.capMs = 250;
-    for (unsigned attempt = 0; attempt < 8; ++attempt)
-        EXPECT_LE(backoffDelayMs("atomic.tmp.open", attempt, p), p.capMs);
-}
-
-TEST(FaultBackoff, DifferentPointsDesynchronize)
-{
-    // Seeded jitter exists to spread contending writers apart: across a few
-    // attempts, two points must not share an identical delay schedule.
-    BackoffPolicy p;
-    bool differ = false;
-    for (unsigned attempt = 0; attempt < 6 && !differ; ++attempt)
-        differ = backoffDelayMs("sweep.manifest.read", attempt, p) !=
-                 backoffDelayMs("sweep.manifest.write", attempt, p);
-    EXPECT_TRUE(differ);
-}
-
 // ------------------------------------------------------------- retry loop
 
 unsigned g_sleepCalls = 0;
@@ -317,16 +273,28 @@ TEST_F(FaultIoTest, RetryGivesUpAfterThePolicyBudget)
 {
     g_sleepCalls = 0;
     setFaultSleepFn(&countingSleep);
-    BackoffPolicy p;
-    p.attempts = 3;
     unsigned tries = 0;
     bool ok = retryWithBackoff("sweep.manifest.read", [&] {
         ++tries;
         return false;
-    }, p);
+    });
     EXPECT_FALSE(ok);
-    EXPECT_EQ(tries, 3u);
-    EXPECT_EQ(g_sleepCalls, 2u); // no sleep after the final failure
+    EXPECT_EQ(tries, 4u);
+    EXPECT_EQ(g_sleepCalls, 3u); // no sleep after the final failure
+}
+
+std::vector<unsigned> g_sleeps;
+
+/** Retries follow an I/O error, never a lost race, so every caller sleeps
+ *  the same fixed schedule between its 4 tries. */
+TEST(FaultBackoff, FixedScheduleSleeps5Then10Then20Ms)
+{
+    g_sleeps.clear();
+    setFaultSleepFn([](unsigned ms) { g_sleeps.push_back(ms); });
+    for (const char* point : { "ckpt.cell.commit", "sweep.manifest.write" })
+        EXPECT_FALSE(retryWithBackoff(point, [] { return false; }));
+    setFaultSleepFn(nullptr);
+    EXPECT_EQ(g_sleeps, (std::vector<unsigned> { 5, 10, 20, 5, 10, 20 }));
 }
 
 // ------------------------------------------------------------ thread safety

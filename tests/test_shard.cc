@@ -1,21 +1,23 @@
 /**
  * @file
- * Tests for the sharded multi-process sweep subsystem (sim/shard.hh):
- * manifest pinning, fork-coordinator runs that are bit-identical to
- * single-process runs, cells taken exactly once from the shared counter,
- * recovery of a SIGKILLed worker's cell at merge, merge-time regeneration
- * of corrupt cells and cleanup of orphaned tmp files, cost-ranked claim
- * order, output buffered before the fork written once, and a resumed
- * rerun's progress report.
+ * Tests for the sweep runner (sim/shard.hh): manifest pinning, forked
+ * runs that are bit-identical to threaded runs, cells taken exactly once
+ * from the shared counter, recovery of a SIGKILLed worker's cell at merge,
+ * recomputation of corrupt cells and cleanup of orphaned tmp files,
+ * quarantine, cost-ranked deal order, output buffered before the fork
+ * written once, one progress reporter per sweep, and resume counts that
+ * agree between the two executors.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <thread>
 
 #include <fcntl.h>
@@ -78,14 +80,6 @@ syntheticCell(size_t cell)
     return r;
 }
 
-ShardOptions
-shardOpts(unsigned shards)
-{
-    ShardOptions o;
-    o.shards = shards;
-    return o;
-}
-
 /** Append `cell` as one line to `path`. Cells compute in forked workers,
  *  so a file is how they report back; O_APPEND keeps the lines of
  *  concurrent processes whole. */
@@ -134,22 +128,22 @@ TEST_F(ShardTest, ManifestMismatchIsFatal)
 
 // ------------------------------------------------------- fork coordinator
 
+/** One thread computes the matrix and commits every cell with one atomic
+ *  write: no fork, no `.cost` sidecar. */
 TEST_F(ShardTest, SingleWorkerCompletesAndMergesTheMatrix)
 {
     SweepManifest m = syntheticManifest();
     std::vector<RunResult> out;
-    ShardOutcome oc =
-        runShardedCells(dir, m, syntheticCell, out, shardOpts(1));
-    EXPECT_EQ(oc.workersForked, 1u);
-    EXPECT_EQ(oc.workersFailed, 0u);
+    ShardOutcome oc = runSweep(dir, m, syntheticCell, out, 1, 1);
+    EXPECT_EQ(oc.workersForked, 0u);
     EXPECT_EQ(oc.computed, 6u);
-    EXPECT_EQ(oc.loaded, 6u);      // the final merge spans the matrix
-    EXPECT_EQ(oc.preExisting, 0u); // nothing was resumed
+    EXPECT_EQ(oc.resumed, 0u);
     ASSERT_EQ(out.size(), 6u);
     for (size_t c = 0; c < out.size(); ++c) {
         EXPECT_EQ(serializeRunResult(out[c]),
                   serializeRunResult(syntheticCell(c)));
-        EXPECT_TRUE(fs::exists(cellFilePath(dir, m, c) + ".cost"));
+        EXPECT_TRUE(fs::exists(cellFilePath(dir, m, c)));
+        EXPECT_FALSE(fs::exists(cellFilePath(dir, m, c) + ".cost"));
     }
 }
 
@@ -157,16 +151,13 @@ TEST_F(ShardTest, TwoSequentialWorkersSplitViaCommittedCells)
 {
     SweepManifest m = syntheticManifest();
     std::vector<RunResult> out1, out2;
-    ShardOutcome a =
-        runShardedCells(dir, m, syntheticCell, out1, shardOpts(1));
-    ShardOutcome b =
-        runShardedCells(dir, m, syntheticCell, out2, shardOpts(1));
+    ShardOutcome a = runSweep(dir, m, syntheticCell, out1, 1, 1);
+    ShardOutcome b = runSweep(dir, m, syntheticCell, out2, 1, 2);
     EXPECT_EQ(a.computed, 6u);
-    EXPECT_EQ(a.preExisting, 0u);
+    EXPECT_EQ(a.resumed, 0u);
     EXPECT_EQ(b.computed, 0u); // everything already committed
     EXPECT_EQ(b.workersForked, 0u);
-    EXPECT_EQ(b.loaded, 6u);
-    EXPECT_EQ(b.preExisting, 6u); // a fully resumed sweep
+    EXPECT_EQ(b.resumed, 6u); // a fully resumed sweep
     for (size_t c = 0; c < out1.size(); ++c) {
         EXPECT_EQ(serializeRunResult(out1[c]), serializeRunResult(out2[c]));
     }
@@ -194,7 +185,7 @@ TEST_F(ShardTest, SigkilledWorkerLeasesAreReclaimedAndCellsReRun)
     };
 
     std::vector<RunResult> out;
-    ShardOutcome oc = runShardedCells(dir, m, compute, out, shardOpts(2));
+    ShardOutcome oc = runSweep(dir, m, compute, out, 1, 2);
     EXPECT_EQ(oc.workersForked, 2u);
     EXPECT_EQ(oc.workersFailed, 1u);
     EXPECT_EQ(oc.computed, 6u); // 5 committed by workers + 1 at merge
@@ -212,7 +203,7 @@ TEST_F(ShardTest, SigkilledWorkerLeasesAreReclaimedAndCellsReRun)
     std::string refDir = dir + "/ref";
     fs::create_directories(refDir);
     std::vector<RunResult> ref;
-    runShardedCells(refDir, m, syntheticCell, ref, shardOpts(1));
+    runSweep(refDir, m, syntheticCell, ref, 1, 1);
     ASSERT_EQ(out.size(), ref.size());
     for (size_t c = 0; c < out.size(); ++c) {
         EXPECT_EQ(serializeRunResult(out[c]), serializeRunResult(ref[c]));
@@ -221,7 +212,8 @@ TEST_F(ShardTest, SigkilledWorkerLeasesAreReclaimedAndCellsReRun)
 
 /** Four workers dealing 40 cells from one counter: each cell is computed
  *  by exactly one process. A second computation of any cell finds its
- *  marker file already created and aborts, which fails the run. */
+ *  marker file already created and aborts, which fails the run. Every
+ *  forked commit leaves a `.cost` sidecar. */
 TEST_F(ShardTest, EveryCellComputesExactlyOnceAcrossFourShards)
 {
     SweepManifest m;
@@ -240,13 +232,14 @@ TEST_F(ShardTest, EveryCellComputesExactlyOnceAcrossFourShards)
     };
 
     std::vector<RunResult> out;
-    ShardOutcome oc = runShardedCells(dir, m, compute, out, shardOpts(4));
+    ShardOutcome oc = runSweep(dir, m, compute, out, 1, 4);
     EXPECT_EQ(oc.workersForked, 4u);
     EXPECT_EQ(oc.workersFailed, 0u);
     EXPECT_EQ(oc.computed, 40u);
     ASSERT_EQ(out.size(), 40u);
     for (size_t c = 0; c < out.size(); ++c) {
         EXPECT_TRUE(fs::exists(dir + "/once-" + std::to_string(c)));
+        EXPECT_TRUE(fs::exists(cellFilePath(dir, m, c) + ".cost"));
         EXPECT_EQ(serializeRunResult(out[c]),
                   serializeRunResult(syntheticCell(c)));
     }
@@ -266,7 +259,7 @@ TEST_F(ShardTest, OutputBufferedBeforeTheForkIsWrittenOnce)
                 std::exit(2);
             std::printf("printed before the sweep\n");
             std::vector<RunResult> out;
-            runShardedCells(dir, m, syntheticCell, out, shardOpts(2));
+            runSweep(dir, m, syntheticCell, out, 1, 2);
             std::exit(0);
         },
         ::testing::ExitedWithCode(0), "");
@@ -281,7 +274,7 @@ TEST_F(ShardTest, CorruptCellsAreRegeneratedAndStaleTmpFilesSwept)
 {
     SweepManifest m = syntheticManifest();
     std::vector<RunResult> out;
-    runShardedCells(dir, m, syntheticCell, out, shardOpts(1));
+    runSweep(dir, m, syntheticCell, out, 1, 1);
 
     // Mangle one committed cell (checksum now fails) and truncate another,
     // then drop an orphaned tmp file from a "killed writer", backdated
@@ -301,11 +294,10 @@ TEST_F(ShardTest, CorruptCellsAreRegeneratedAndStaleTmpFilesSwept)
     std::ofstream(freshTmp) << "in-flight";
 
     std::vector<RunResult> merged;
-    ShardOutcome oc;
-    CellFn compute = syntheticCell;
-    EXPECT_TRUE(mergeShardedCells(dir, m, &compute, merged, oc));
+    ShardOutcome oc = runSweep(dir, m, syntheticCell, merged, 1, 1);
     EXPECT_EQ(oc.computed, 2u); // the two mangled cells
-    EXPECT_EQ(oc.loaded, 4u);
+    EXPECT_EQ(oc.corruptCells, 2u);
+    EXPECT_EQ(oc.resumed, 4u);
     EXPECT_EQ(oc.staleTmpRemoved, 1u);
     EXPECT_FALSE(fs::exists(staleTmp));
     EXPECT_TRUE(fs::exists(freshTmp));
@@ -314,13 +306,13 @@ TEST_F(ShardTest, CorruptCellsAreRegeneratedAndStaleTmpFilesSwept)
                   serializeRunResult(syntheticCell(c)));
     }
 
-    // Without a compute fallback the same damage makes the merge report
-    // incompleteness instead of fatal()ing or returning garbage.
+    // With nothing to compute the same damage leaves the sweep short of
+    // the matrix instead of fatal()ing or returning garbage.
     fs::resize_file(cellFilePath(dir, m, 2), 5);
     std::vector<RunResult> partial;
-    ShardOutcome oc2;
-    EXPECT_FALSE(mergeShardedCells(dir, m, nullptr, partial, oc2));
-    EXPECT_EQ(oc2.loaded, 5u);
+    ShardOutcome oc2 = runSweep(dir, m, CellFn {}, partial, 1, 1);
+    EXPECT_EQ(oc2.resumed, 5u);
+    EXPECT_EQ(oc2.computed, 0u);
 }
 
 // ---------------------------------------------------------------- scaling
@@ -350,7 +342,7 @@ TEST_F(ShardTest, FourShardsOverlapForAtLeast2point5x)
         fs::create_directories(d);
         std::vector<RunResult> out;
         auto t0 = std::chrono::steady_clock::now();
-        runShardedCells(d, m, compute, out, shardOpts(shards));
+        runSweep(d, m, compute, out, 1, shards);
         return std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - t0)
             .count();
@@ -363,25 +355,24 @@ TEST_F(ShardTest, FourShardsOverlapForAtLeast2point5x)
 }
 
 /**
- * Quarantine: a cell whose regenerated checkpoint keeps failing
- * verification (every write torn via the fault shim) must be moved into
- * <dir>/quarantine/ after 3 attempts instead of being rewritten forever —
- * while the in-memory result keeps the matrix complete.
+ * Quarantine: a cell whose recomputed checkpoint keeps failing
+ * verification at merge (every write torn via the fault shim, so the
+ * worker's commit too) must be moved into <dir>/quarantine/ after 3
+ * attempts instead of being rewritten forever — while the in-memory
+ * result keeps the matrix complete.
  */
 TEST_F(ShardTest, PersistentlyCorruptCellIsQuarantined)
 {
     SweepManifest m = syntheticManifest();
     std::vector<RunResult> out;
-    runShardedCells(dir, m, syntheticCell, out, shardOpts(1));
+    runSweep(dir, m, syntheticCell, out, 1, 1);
 
     // Corrupt one committed cell, then make every rewrite tear.
     fs::resize_file(cellFilePath(dir, m, 2), 5);
     installFaultPlan("atomic.tmp.write:torn@999");
 
     std::vector<RunResult> merged;
-    ShardOutcome oc;
-    CellFn compute = syntheticCell;
-    EXPECT_TRUE(mergeShardedCells(dir, m, &compute, merged, oc));
+    ShardOutcome oc = runSweep(dir, m, syntheticCell, merged, 1, 2);
     clearFaultPlan();
 
     EXPECT_GE(oc.corruptCells, 1u);
@@ -400,12 +391,11 @@ TEST_F(ShardTest, PersistentlyCorruptCellIsQuarantined)
 
 // ------------------------------------------------ cost-aware scheduling
 
-/** Shard-aware scheduling from the per-cell `.cost` sidecars: a sweep
- *  resuming a directory whose committed cells recorded their compute
- *  seconds deals the remaining cells most expensive config first (rows
- *  ascending within a config); a fresh directory deals them in index
- *  order; a non-numeric sidecar is skipped, never read as its numeric
- *  prefix. */
+/** Deal order from the per-cell `.cost` sidecars: a sweep resuming a
+ *  directory whose committed cells recorded their compute seconds deals
+ *  the remaining cells most expensive config first (rows ascending within
+ *  a config); a fresh directory deals them in index order; a non-numeric
+ *  sidecar is skipped, never read as its numeric prefix. */
 TEST_F(ShardTest, CostModelClaimsExpensiveCellsFirst)
 {
     SweepManifest m = syntheticManifest();
@@ -423,14 +413,14 @@ TEST_F(ShardTest, CostModelClaimsExpensiveCellsFirst)
         }
         std::string log = d + "/order.log";
         std::vector<RunResult> out;
-        ShardOutcome oc = runShardedCells(
+        ShardOutcome oc = runSweep(
             d, m,
             [&](size_t cell) {
-                logCell(log, cell); // one worker: the log is the order
+                logCell(log, cell); // one thread: the log is the order
                 return syntheticCell(cell);
             },
-            out, shardOpts(1));
-        EXPECT_EQ(oc.preExisting, sidecars.size());
+            out, 1, 1);
+        EXPECT_EQ(oc.resumed, sidecars.size());
         EXPECT_EQ(oc.computed, m.numCells() - sidecars.size());
         for (size_t c = 0; c < m.numCells(); ++c) {
             EXPECT_EQ(serializeRunResult(out[c]),
@@ -455,6 +445,47 @@ TEST_F(ShardTest, CostModelClaimsExpensiveCellsFirst)
     // A fresh directory has no sidecars: cells go in index order.
     std::vector<size_t> fresh = resumeWith(dir + "/fresh", {});
     EXPECT_EQ(fresh, (std::vector<size_t> { 0, 1, 2, 3, 4, 5, 6, 7, 8 }));
+}
+
+// ---------------------------------------------------------------- progress
+
+/**
+ * Only the process that runs a sweep reports its progress: a 2-shard
+ * sweep of sleep-backed cells prints at most one periodic line per
+ * interval and exactly one closing "done" line, however many workers
+ * compute its cells. stderr is captured at the fd level, which the
+ * forked workers inherit, so a line any worker printed would count too.
+ */
+TEST_F(ShardTest, ForkedSweepReportsProgressFromOneProcess)
+{
+    SweepManifest m = syntheticManifest();
+    m.numRows = 10; // 30 cells x 90 ms over 2 workers: over 1.3 s
+    auto compute = [](size_t cell) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(90));
+        return syntheticCell(cell);
+    };
+    std::vector<RunResult> out;
+    ::testing::internal::CaptureStderr();
+    auto t0 = std::chrono::steady_clock::now();
+    runSweep(dir, m, compute, out, 1, 2, /*progress_sec=*/1);
+    double elapsed = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    std::string err = ::testing::internal::GetCapturedStderr();
+
+    size_t periodic = 0, closing = 0;
+    std::istringstream lines(err);
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("progress: shard-test ", 0) != 0)
+            continue;
+        if (line.find(" done, 30/30 cells") != std::string::npos)
+            ++closing;
+        else
+            ++periodic;
+    }
+    EXPECT_GE(elapsed, 1.2);
+    EXPECT_EQ(closing, 1u) << err;
+    EXPECT_LE(periodic, static_cast<size_t>(elapsed)) << err;
 }
 
 // --------------------------------------------------- experiment integration
@@ -556,22 +587,70 @@ TEST_F(ShardTest, ResumedShardedRerunReportsZeroMops)
     EXPECT_NE(rerun.find("\"mops\":0.000"), std::string::npos) << rerun;
 }
 
+/** The committed cell files of every sweep under `root`, sorted. */
+std::vector<std::string>
+cellFiles(const std::string& root)
+{
+    std::vector<std::string> cells;
+    for (const auto& e : fs::recursive_directory_iterator(root)) {
+        if (e.path().extension() == ".rr")
+            cells.push_back(e.path().string());
+    }
+    std::sort(cells.begin(), cells.end());
+    return cells;
+}
+
+/** A finished directory with one garbage cell and one deleted cell: a
+ *  rerun resumes exactly the cells that load, on either executor, and
+ *  recomputes the other two. */
+TEST_F(ShardTest, RerunResumesOnlyLoadableCellsOnBothExecutors)
+{
+    ExperimentOptions serial = tinyOpts();
+    Suite suite = Suite::fromSpecs(twoSpecs(), serial);
+    auto run = [&](const ExperimentOptions& o) {
+        return Experiment("damaged", suite, o)
+            .add("baseline", mechFor("baseline"))
+            .add("constable", mechFor("constable"))
+            .add("eves", mechFor("eves"))
+            .run();
+    };
+    auto ref = run(serial);
+    for (unsigned shards : { 1u, 2u }) {
+        ExperimentOptions o = tinyOpts();
+        o.shards = shards;
+        o.checkpointDir = dir + "/shards-" + std::to_string(shards);
+        run(o);
+        std::vector<std::string> cells = cellFiles(o.checkpointDir);
+        ASSERT_EQ(cells.size(), 6u);
+        std::ofstream(cells[1]) << "not a cell";
+        fs::remove(cells[4]);
+
+        auto rerun = run(o);
+        EXPECT_EQ(rerun.resumedCells(), 4u) << shards << " shard(s)";
+        EXPECT_EQ(resultFingerprint(rerun.matrix()),
+                  resultFingerprint(ref.matrix()));
+        EXPECT_EQ(cellFiles(o.checkpointDir).size(), 6u);
+    }
+}
+
 TEST_F(ShardTest, ShardIdBeyondShardCountIsFatal)
 {
     // A shard count set directly (as perfbench/passes.cc sets it) must
     // meet the same cap --shards and CONSTABLE_SHARDS enforce.
     ExperimentOptions o = tinyOpts();
-    o.shards = ShardOptions::kMaxShards + 1;
-    EXPECT_EXIT(o.shard(), ::testing::ExitedWithCode(1), "out of range");
+    o.shards = kMaxShards + 1;
+    Suite suite = Suite::fromSpecs(twoSpecs(), o);
+    Experiment e("too-many-shards", suite, o);
+    e.add("baseline", mechFor("baseline"));
+    EXPECT_EXIT(e.run(), ::testing::ExitedWithCode(1), "out of range");
 }
 
-TEST(ShardOptionsParse, FlagsAndEnvRoundTrip)
+TEST(ShardCountParse, FlagsAndEnvRoundTrip)
 {
     const char* argv[] = { "prog", "--shards=4" };
     auto opts = ExperimentOptions::fromArgs(
         static_cast<int>(std::size(argv)), const_cast<char**>(argv));
     EXPECT_EQ(opts.shards, 4u);
-    EXPECT_EQ(opts.shard().shards, 4u);
 
     setenv("CONSTABLE_SHARDS", "3", 1);
     auto env = ExperimentOptions::fromEnv();
@@ -579,7 +658,7 @@ TEST(ShardOptionsParse, FlagsAndEnvRoundTrip)
     EXPECT_EQ(env.shards, 3u);
 }
 
-TEST(ShardOptionsParseDeathTest, OutOfRangeValuesAreFatal)
+TEST(ShardCountParseDeathTest, OutOfRangeValuesAreFatal)
 {
     const char* argv[] = { "prog", "--shards=0" };
     EXPECT_EXIT(ExperimentOptions::fromArgs(2, const_cast<char**>(argv)),
@@ -594,7 +673,7 @@ TEST(ShardOptionsParseDeathTest, OutOfRangeValuesAreFatal)
 
 /** Workers are only ever forked by a coordinator: the flags of separately
  *  launched workers are unknown arguments. */
-TEST(ShardOptionsParseDeathTest, RetiredWorkerFlagsAreRejected)
+TEST(ShardCountParseDeathTest, RetiredWorkerFlagsAreRejected)
 {
     for (const char* flag :
          { "--shard-id=1", "--lease-ttl-sec=7", "--shard-poll-ms=5" }) {

@@ -30,20 +30,11 @@ namespace {
 
 // ------------------------------------------------------------- forEachJob
 
-BatchOptions
-withThreads(unsigned threads)
-{
-    BatchOptions opts;
-    opts.threads = threads;
-    return opts;
-}
-
 TEST(ForEachJob, RunsEveryIndexExactlyOnce)
 {
     constexpr size_t kN = 1000;
     std::vector<std::atomic<unsigned>> hits(kN);
-    forEachJob(kN, [&](size_t i, Rng&) { hits[i].fetch_add(1); },
-               withThreads(4));
+    forEachJob(kN, [&](size_t i) { hits[i].fetch_add(1); }, 4);
     for (size_t i = 0; i < kN; ++i)
         EXPECT_EQ(hits[i].load(), 1u) << "index " << i;
 }
@@ -52,8 +43,7 @@ TEST(ForEachJob, RepeatedCallsEachRunEveryJob)
 {
     for (int round = 0; round < 20; ++round) {
         std::atomic<size_t> sum { 0 };
-        forEachJob(64, [&](size_t i, Rng&) { sum.fetch_add(i); },
-                   withThreads(3));
+        forEachJob(64, [&](size_t i) { sum.fetch_add(i); }, 3);
         EXPECT_EQ(sum.load(), 64u * 63u / 2);
     }
 }
@@ -62,15 +52,15 @@ TEST(ForEachJob, NestedCallRunsInlineOnItsJobsThread)
 {
     std::atomic<size_t> inner { 0 };
     std::atomic<size_t> offThread { 0 };
-    forEachJob(8, [&](size_t, Rng&) {
+    forEachJob(8, [&](size_t) {
         // A job that itself submits a batch runs it on its own thread.
         const std::thread::id outer = std::this_thread::get_id();
-        forEachJob(4, [&](size_t, Rng&) {
+        forEachJob(4, [&](size_t) {
             inner.fetch_add(1);
             if (std::this_thread::get_id() != outer)
                 offThread.fetch_add(1);
-        }, withThreads(4));
-    }, withThreads(4));
+        }, 4);
+    }, 4);
     EXPECT_EQ(inner.load(), 32u);
     EXPECT_EQ(offThread.load(), 0u);
 }
@@ -78,9 +68,9 @@ TEST(ForEachJob, NestedCallRunsInlineOnItsJobsThread)
 TEST(ForEachJob, ZeroAndOneSizedBatches)
 {
     unsigned calls = 0;
-    forEachJob(0, [&](size_t, Rng&) { ++calls; }, withThreads(4));
+    forEachJob(0, [&](size_t) { ++calls; }, 4);
     EXPECT_EQ(calls, 0u);
-    forEachJob(1, [&](size_t, Rng&) { ++calls; }, withThreads(4));
+    forEachJob(1, [&](size_t) { ++calls; }, 4);
     EXPECT_EQ(calls, 1u);
 }
 
@@ -93,7 +83,7 @@ TEST(ForEachJob, SlowJobDoesNotHoldBackOthers)
     std::condition_variable cv;
     size_t finished = 0;
     size_t seenByJob0 = 0;
-    forEachJob(kN, [&](size_t job, Rng&) {
+    forEachJob(kN, [&](size_t job) {
         std::unique_lock<std::mutex> lk(mu);
         if (job == 0) {
             cv.wait_for(lk, std::chrono::seconds(5),
@@ -103,7 +93,7 @@ TEST(ForEachJob, SlowJobDoesNotHoldBackOthers)
             ++finished;
             cv.notify_all();
         }
-    }, withThreads(2));
+    }, 2);
     EXPECT_EQ(seenByJob0, kN - 1);
 }
 
@@ -123,7 +113,7 @@ TEST(ForEachJob, NoThreadOutlivesTheCall)
     std::thread([] {}).join();
     const long before = liveThreads();
     std::atomic<size_t> ran { 0 };
-    forEachJob(64, [&](size_t, Rng&) { ran.fetch_add(1); }, BatchOptions{});
+    forEachJob(64, [&](size_t) { ran.fetch_add(1); });
     EXPECT_EQ(ran.load(), 64u);
     // A joined thread can linger in /proc for a moment while the kernel
     // reaps it; poll briefly, bounded.
@@ -133,38 +123,6 @@ TEST(ForEachJob, NoThreadOutlivesTheCall)
         after = liveThreads();
     }
     EXPECT_EQ(after, before);
-}
-
-TEST(ForEachJob, RngStreamsIndependentOfThreadCount)
-{
-    constexpr size_t kJobs = 64;
-    auto draw = [&](unsigned threads) {
-        std::vector<uint64_t> out(kJobs);
-        BatchOptions opts;
-        opts.threads = threads;
-        opts.seed = 1234;
-        forEachJob(kJobs,
-                   [&](size_t job, Rng& rng) { out[job] = rng.next(); },
-                   opts);
-        return out;
-    };
-    auto serial = draw(1);
-    EXPECT_EQ(serial, draw(4));
-    EXPECT_EQ(serial, draw(7));
-    // Distinct jobs must see distinct streams.
-    EXPECT_NE(serial[0], serial[1]);
-}
-
-TEST(ForEachJob, SeedChangesStreams)
-{
-    std::vector<uint64_t> a(8), b(8);
-    BatchOptions opts;
-    opts.threads = 1;
-    opts.seed = 1;
-    forEachJob(8, [&](size_t j, Rng& r) { a[j] = r.next(); }, opts);
-    opts.seed = 2;
-    forEachJob(8, [&](size_t j, Rng& r) { b[j] = r.next(); }, opts);
-    EXPECT_NE(a, b);
 }
 
 // ------------------------------------------------------- matrix determinism
